@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .core import DiceSet, DomainError, PairCounts, pair_counts
 from .rewriting import (
@@ -412,16 +413,16 @@ class SurdValue:
             "b": self.b,
             "c": self.c,
             "d": self.d,
-            "enclosure": [_decimal(lo, 16), _decimal(hi, 16)],
+            "enclosure": [_decimal(lo, 16, math.floor), _decimal(hi, 16, math.ceil)],
         }
 
 
-def _decimal(value: Fraction, digits: int) -> str:
-    """Fixed-point decimal string, truncated toward zero."""
-    sign = "-" if value < 0 else ""
-    value = abs(value)
-    scaled = value.numerator * 10**digits // value.denominator
-    text = str(scaled).rjust(digits + 1, "0")
+def _decimal(value: Fraction, digits: int, rounding: Callable[[Fraction], int]) -> str:
+    """Fixed-point decimal string, rounded by math.floor or math.ceil, so a
+    printed enclosure [floor(lo), ceil(hi)] still contains the value."""
+    scaled = rounding(value * 10**digits)
+    sign = "-" if scaled < 0 else ""
+    text = str(abs(scaled)).rjust(digits + 1, "0")
     return f"{sign}{text[:-digits]}.{text[-digits:]}"
 
 

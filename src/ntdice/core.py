@@ -108,15 +108,25 @@ class DiceSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DiceSet":
-        try:
-            return cls(
-                n=int(obj["n"]),
-                a=frozenset(int(x) for x in obj["A"]),
-                b=frozenset(int(x) for x in obj["B"]),
-                c=frozenset(int(x) for x in obj["C"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DiceSetError(f"malformed dice-set object: {exc}") from exc
+        """Parse {"n": int, "A": [ints], "B": [ints], "C": [ints]} strictly:
+        exact ints only (no bools, floats or strings) and n distinct labels
+        per die.  Range and disjointness are checked by word_from_dice."""
+        if not isinstance(obj, dict) or type(obj.get("n")) is not int:
+            raise DiceSetError("malformed dice-set object: n must be an int")
+        n = obj["n"]
+        dice = []
+        for name in LETTERS:
+            labels = obj.get(name)
+            if not isinstance(labels, list) or any(type(x) is not int for x in labels):
+                raise DiceSetError(
+                    f"malformed dice-set object: {name} must be a list of ints"
+                )
+            if len(labels) != n or len(set(labels)) != n:
+                raise DiceSetError(
+                    f"die {name} must list {n} distinct labels, got {labels}"
+                )
+            dice.append(frozenset(labels))
+        return cls(n, *dice)
 
 
 @dataclass(frozen=True)

@@ -3,30 +3,30 @@
 The scan is the package's ground truth: every closed-form count elsewhere
 can be rediscovered here.  Two engines share one contract:
 
+* a statistics engine, a layered count DP.  It reads words left to right
+  and keeps, for each count of letters placed so far, the multiplicity of
+  every reachable triple of running win counts.  Words that share both
+  collapse into one state, and a state is dropped as soon as the three
+  counts can no longer meet, so n = 7 (399,072,960 words) takes well
+  under a second.  Witnesses come from a depth-first walk in
+  lexicographic order under the same pruning.  It runs in one process;
 * a streaming engine that visits every complete word in lexicographic
-  order, classifying each and feeding filter matches to a consumer;
-* a statistics engine that walks the same prefix tree but collapses the
-  tail as soon as one letter is exhausted.  With two letters left, two of
-  the three win counts are already fixed and the third varies only by the
-  number of letter inversions in the tail, whose exact distribution is a
-  precomputed table (the Gaussian-binomial coefficients).  This prunes the
-  walk to prefixes where all three letters remain, which is why n = 6
-  (17,153,136 words) finishes in seconds on one worker.
+  order, classifying each and feeding filter matches to a consumer.  With
+  several workers it partitions the word tree by prefix and hands each
+  partition's matches on in lexicographic order.
 
-Both engines produce identical statistics; the parallel path partitions
-the prefix tree and merges per-partition results in lexicographic order,
-so stats are independent of the worker count.
+Both engines produce identical statistics, whatever the worker count.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterator
 
 from .core import (
@@ -40,7 +40,7 @@ from .core import (
 from .rewriting import similarity_class
 
 MAX_SIDES = 7
-LONG_RUN_SIDES = 7  # n = 7 scans 399,072,960 words; opt-in only
+LONG_RUN_SIDES = 7  # n = 7 has 399,072,960 words; the scan must be confirmed
 WITNESS_CAP = 10
 DEFAULT_BFS_BUDGET = 2_000_000
 
@@ -52,7 +52,7 @@ class CacheFormatError(DiceError):
 
 
 class CacheIntegrityError(DiceError):
-    """A stats file's witnesses fail re-verification."""
+    """A stats file contradicts itself or its witnesses fail re-verification."""
 
 
 @dataclass(frozen=True)
@@ -105,199 +105,90 @@ def _check_sides(n: int, long_run: bool) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _inversion_table(limit: int) -> dict[tuple[int, int], tuple[int, ...]]:
-    """table[(a, b)][t] counts interleavings of a L-items and b R-items
-    with exactly t (L before R) pairs.  Row sums are C(a+b, a)."""
-    table: dict[tuple[int, int], tuple[int, ...]] = {}
-    for a in range(limit + 1):
-        for b in range(limit + 1):
-            size = a * b + 1
-            if a == 0 or b == 0:
-                table[(a, b)] = tuple([1] + [0] * (size - 1))
-                continue
-            row = [0] * size
-            first_l = table[(a - 1, b)]
-            first_r = table[(a, b - 1)]
-            for t in range(size):
-                total = 0
-                if t >= b and t - b < len(first_l):
-                    total += first_l[t - b]
-                if t < len(first_r):
-                    total += first_r[t]
-                row[t] = total
-            table[(a, b)] = tuple(row)
-    return table
+Placed = tuple[int, int, int]  # letters A, B, C placed so far
+Counts = tuple[int, int, int]  # running N(A>B), N(B>C), N(C>A)
 
 
-def _tail_witnesses(
-    case: str,
-    ra: int,
-    rb: int,
-    rc: int,
-    t: int,
-    table: dict[tuple[int, int], tuple[int, ...]],
-    limit: int,
-) -> list[str]:
-    """Lexicographically-first tails with the required inversion count.
-
-    case names the exhausted letter; the other two letters interleave with
-    t inversions as counted by the matching statistics branch.
-    """
-    out: list[str] = []
-    buf: list[str] = []
-
-    def feasible(a: int, b: int, tt: int) -> int:
-        if tt < 0 or tt > a * b:
-            return 0
-        return table[(a, b)][tt]
-
-    if case == "A":
-        # letters B (R-type) and C (L-type); t counts C-before-B pairs
-        def rec(b: int, c: int, tt: int) -> None:
-            if len(out) >= limit:
-                return
-            if b == 0 and c == 0:
-                out.append("".join(buf))
-                return
-            if b and feasible(c, b - 1, tt):
-                buf.append("B")
-                rec(b - 1, c, tt)
-                buf.pop()
-            if c and feasible(c - 1, b, tt - b):
-                buf.append("C")
-                rec(b, c - 1, tt - b)
-                buf.pop()
-
-        rec(rb, rc, t)
-    elif case == "B":
-        # letters A (L-type) and C (R-type); t counts A-before-C pairs
-        def rec(a: int, c: int, tt: int) -> None:
-            if len(out) >= limit:
-                return
-            if a == 0 and c == 0:
-                out.append("".join(buf))
-                return
-            if a and feasible(a - 1, c, tt - c):
-                buf.append("A")
-                rec(a - 1, c, tt - c)
-                buf.pop()
-            if c and feasible(a, c - 1, tt):
-                buf.append("C")
-                rec(a, c - 1, tt)
-                buf.pop()
-
-        rec(ra, rc, t)
-    else:
-        # letters A (R-type) and B (L-type); t counts B-before-A pairs
-        def rec(a: int, b: int, tt: int) -> None:
-            if len(out) >= limit:
-                return
-            if a == 0 and b == 0:
-                out.append("".join(buf))
-                return
-            if a and feasible(b, a - 1, tt):
-                buf.append("A")
-                rec(a - 1, b, tt)
-                buf.pop()
-            if b and feasible(b - 1, a, tt - a):
-                buf.append("B")
-                rec(a, b - 1, tt - a)
-                buf.pop()
-
-        rec(ra, rb, t)
-    return out
+def _steps(
+    n: int, placed: Placed, counts: Counts
+) -> Iterator[tuple[str, Placed, Counts]]:
+    """Each letter that can come next, in lexicographic order, with the
+    state after it: a new letter beats every placed label of the die it is
+    matched against (A beats B, B beats C, C beats A)."""
+    pa, pb, pc = placed
+    ab, bc, ca = counts
+    if pa < n:
+        yield "A", (pa + 1, pb, pc), (ab + pb, bc, ca)
+    if pb < n:
+        yield "B", (pa, pb + 1, pc), (ab, bc + pc, ca)
+    if pc < n:
+        yield "C", (pa, pb, pc + 1), (ab, bc, ca + pa)
 
 
-def _stats_scan(n: int, prefix: str) -> tuple[int, dict[int, int], int, tuple[str, ...]]:
-    """Collapsed statistics scan below one prefix.
+def _window(n: int, placed: Placed, counts: Counts) -> tuple[int, int]:
+    """The range all three final counts must share.  Each letter still to
+    come adds between the current and the full tally of the letter it
+    beats, so the final N(A>B) lies in [ab + ra*pb, ab + ra*n], and
+    likewise for the other two; the window is their intersection, empty
+    when lo > hi."""
+    pa, pb, pc = placed
+    ab, bc, ca = counts
+    ra, rb, rc = n - pa, n - pb, n - pc
+    lo = max(ab + ra * pb, bc + rb * pc, ca + rc * pa)
+    hi = min(ab + ra * n, bc + rb * n, ca + rc * n)
+    return lo, hi
 
-    Returns (total_words, balanced histogram keyed by the common count,
-    best non-transitive count or -1, lexicographically-first witnesses).
-    """
-    table = _inversion_table(n)
-    sq = n * n
-    comb = math.comb
-    total = 0
-    hist: dict[int, int] = {}
-    best = -1
-    witnesses: list[str] = []
-    path = list(prefix) + [""] * (3 * n - len(prefix))
 
-    ra = rb = rc = n
-    ab = bc = ca = 0
-    for ch in prefix:
-        if ch == "A":
-            ab += n - rb
-            ra -= 1
-        elif ch == "B":
-            bc += n - rc
-            rb -= 1
-        else:
-            ca += n - ra
-            rc -= 1
-        if min(ra, rb, rc) < 0:
-            return 0, {}, -1, ()
+def _balanced_histogram(n: int) -> dict[int, int]:
+    """Balanced words keyed by their common count, by the layered count DP.
 
-    def boundary(depth: int, ra: int, rb: int, rc: int, ab: int, bc: int, ca: int) -> None:
-        nonlocal total, best
-        if ra == 0:
-            words_here = comb(rb + rc, rb)
-            fixed1 = ab
-            fixed2 = ca + rc * n
-            base = bc + rb * (n - rc)
-            pairs_max = rb * rc
-            key = (rc, rb)
-            case = "A"
-        elif rb == 0:
-            words_here = comb(ra + rc, ra)
-            fixed1 = ab + ra * n
-            fixed2 = bc
-            base = ca + rc * (n - ra)
-            pairs_max = ra * rc
-            key = (ra, rc)
-            case = "B"
-        else:
-            words_here = comb(ra + rb, ra)
-            fixed1 = bc + rb * n
-            fixed2 = ca
-            base = ab + ra * (n - rb)
-            pairs_max = ra * rb
-            key = (rb, ra)
-            case = "C"
-        total += words_here
-        if fixed1 != fixed2:
-            return
-        t = fixed1 - base
-        if t < 0 or t > pairs_max:
-            return
-        cnt = table[key][t]
-        if not cnt:
-            return
-        hist[fixed1] = hist.get(fixed1, 0) + cnt
-        if 2 * fixed1 > sq:
-            if fixed1 > best:
-                best = fixed1
-                witnesses.clear()
-            if fixed1 == best and len(witnesses) < WITNESS_CAP:
-                head = "".join(path[:depth])
-                need = WITNESS_CAP - len(witnesses)
-                for tail in _tail_witnesses(case, ra, rb, rc, t, table, need):
-                    witnesses.append(head + tail)
+    Layer k maps each letter tally of a k-letter prefix to a dict from
+    running counts to the number of prefixes reaching them.  A state that
+    survives to (n, n, n) has the window [max, min] of its three counts
+    non-empty, so it is balanced."""
+    layer: dict[Placed, dict[Counts, int]] = {(0, 0, 0): {(0, 0, 0): 1}}
+    for _ in range(3 * n):
+        nxt: dict[Placed, dict[Counts, int]] = {}
+        for placed, states in layer.items():
+            for counts, mult in states.items():
+                for _letter, placed2, counts2 in _steps(n, placed, counts):
+                    lo, hi = _window(n, placed2, counts2)
+                    if lo > hi:
+                        continue
+                    bucket = nxt.setdefault(placed2, {})
+                    bucket[counts2] = bucket.get(counts2, 0) + mult
+        layer = nxt
+    return {counts[0]: mult for counts, mult in layer.get((n, n, n), {}).items()}
 
-    def rec(depth: int, ra: int, rb: int, rc: int, ab: int, bc: int, ca: int) -> None:
-        if ra == 0 or rb == 0 or rc == 0:
-            boundary(depth, ra, rb, rc, ab, bc, ca)
-            return
-        path[depth] = "A"
-        rec(depth + 1, ra - 1, rb, rc, ab + (n - rb), bc, ca)
-        path[depth] = "B"
-        rec(depth + 1, ra, rb - 1, rc, ab, bc + (n - rc), ca)
-        path[depth] = "C"
-        rec(depth + 1, ra, rb, rc - 1, ab, bc, ca + (n - ra))
 
-    rec(len(prefix), ra, rb, rc, ab, bc, ca)
-    return total, hist, best, tuple(witnesses)
+def _witnesses(n: int, best: int) -> list[str]:
+    """The lexicographically-first WITNESS_CAP words whose three counts all
+    equal best, by a depth-first walk in A, B, C order pruned by the
+    window; states already found to lead nowhere are remembered."""
+    found: list[str] = []
+    path: list[str] = []
+    dead: set[tuple[Placed, Counts]] = set()
+
+    def walk(placed: Placed, counts: Counts) -> bool:
+        lo, hi = _window(n, placed, counts)
+        if not lo <= best <= hi or (placed, counts) in dead:
+            return False
+        if len(path) == 3 * n:
+            found.append("".join(path))
+            return True
+        live = False
+        for letter, placed2, counts2 in _steps(n, placed, counts):
+            path.append(letter)
+            live = walk(placed2, counts2) or live
+            path.pop()
+            if len(found) == WITNESS_CAP:
+                break
+        if not live:
+            dead.add((placed, counts))
+        return live
+
+    walk((0, 0, 0), (0, 0, 0))
+    return found
 
 
 def _stream_scan(
@@ -328,8 +219,6 @@ def _stream_scan(
         else:
             ca0 += n - ra
             rc -= 1
-        if min(ra, rb, rc) < 0:
-            return 0, {}, -1, (), ()
 
     def leaf(ab: int, bc: int, ca: int) -> None:
         nonlocal total, best
@@ -371,10 +260,6 @@ def _stream_scan(
     return total, hist, best, tuple(witnesses), tuple(matches)
 
 
-def _stats_task(args: tuple[int, str]) -> tuple[int, dict[int, int], int, tuple[str, ...]]:
-    return _stats_scan(*args)
-
-
 def _stream_task(
     args: tuple[int, str, EnumFilter | None]
 ) -> tuple[int, dict[int, int], int, tuple[str, ...], tuple[str, ...]]:
@@ -385,50 +270,14 @@ def _stream_task(
 def _partition_prefixes(n: int, workers: int) -> list[str]:
     """Lexicographic prefixes splitting the word tree into >= 64*workers
     partitions (letter counts within each prefix never exceed n)."""
-    if workers <= 1:
-        return [""]
-    want = 64 * workers
     depth = 1
-    while 3**depth < want and depth < 3 * n:
+    while 3**depth < 64 * workers and depth < 3 * n:
         depth += 1
-    prefixes: list[str] = []
-
-    def rec(prefix: str, a: int, b: int, c: int) -> None:
-        if len(prefix) == depth:
-            prefixes.append(prefix)
-            return
-        if a < n:
-            rec(prefix + "A", a + 1, b, c)
-        if b < n:
-            rec(prefix + "B", a, b + 1, c)
-        if c < n:
-            rec(prefix + "C", a, b, c + 1)
-
-    rec("", 0, 0, 0)
-    return prefixes
-
-
-def _merge(
-    parts: list[tuple],
-) -> tuple[int, dict[int, int], int, list[str], list[str]]:
-    total = 0
-    hist: dict[int, int] = {}
-    best = -1
-    witnesses: list[str] = []
-    matches: list[str] = []
-    for part in parts:
-        p_total, p_hist, p_best, p_wit = part[:4]
-        total += p_total
-        for value, cnt in p_hist.items():
-            hist[value] = hist.get(value, 0) + cnt
-        if p_best > best:
-            best = p_best
-            witnesses = list(p_wit[:WITNESS_CAP])
-        elif p_best == best and p_best >= 0 and len(witnesses) < WITNESS_CAP:
-            witnesses.extend(p_wit[: WITNESS_CAP - len(witnesses)])
-        if len(part) > 4:
-            matches.extend(part[4])
-    return total, hist, best, witnesses, matches
+    return [
+        "".join(letters)
+        for letters in itertools.product("ABC", repeat=depth)
+        if max(map(letters.count, "ABC")) <= n
+    ]
 
 
 def _build_stats(
@@ -457,49 +306,53 @@ def enumerate_words(
     workers: int = 1,
     long_run: bool = False,
 ) -> EnumStats:
-    """Scan every complete word on n sides exactly once and classify it.
+    """Account for every complete word on n sides exactly once.
 
-    Words matching filt (conjunctive flags) stream to the consumer in
-    lexicographic order; with workers > 1 matches are collected per
-    partition and delivered serialized after the merge.  Statistics are
-    identical for any worker count.  Without a consumer the collapsed
-    statistics engine is used; it never materializes non-witness words.
+    Without a consumer the statistics come from the layered count DP in
+    this process; workers is ignored and no word is materialized except
+    the witnesses.  With a consumer the stream engine visits every word
+    and hands words matching filt (conjunctive flags; all words when filt
+    is None) to the consumer in lexicographic order; with workers > 1 it
+    partitions the word tree over a process pool.  Statistics are
+    identical for either engine and any worker count.
     """
     _check_sides(n, long_run)
-    streaming = consumer is not None
-    if streaming and filt is None:
+    if consumer is None:
+        hist = _balanced_histogram(n)
+        best = max((v for v in hist if 2 * v > n * n), default=-1)
+        witnesses = _witnesses(n, best) if best >= 0 else []
+        return _build_stats(n, total_word_count(n), hist, best, witnesses)
+    if filt is None:
         filt = EnumFilter()  # match everything
     if workers <= 1:
-        if streaming:
-            total, hist, best, wit, _ = _stream_scan(
-                n, "", filt, consumer, collect=False
-            )
-        else:
-            total, hist, best, wit = _stats_scan(n, "")
+        total, hist, best, wit, _ = _stream_scan(
+            n, "", filt, consumer, collect=False
+        )
         return _build_stats(n, total, hist, best, list(wit))
 
+    # Partitions come back in lexicographic order; each is folded into the
+    # statistics and its matches delivered before the next is taken.
     prefixes = _partition_prefixes(n, workers)
+    total = 0
+    hist: dict[int, int] = {}
+    best = -1
+    witnesses: list[str] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        if streaming:
-            parts = list(
-                pool.map(
-                    _stream_task,
-                    [(n, prefix, filt) for prefix in prefixes],
-                    chunksize=max(1, len(prefixes) // (8 * workers)),
-                )
-            )
-        else:
-            parts = list(
-                pool.map(
-                    _stats_task,
-                    [(n, prefix) for prefix in prefixes],
-                    chunksize=max(1, len(prefixes) // (8 * workers)),
-                )
-            )
-    total, hist, best, witnesses, matches = _merge(parts)
-    if streaming:
-        for word in matches:
-            consumer(word, classify(word))
+        parts = pool.map(
+            _stream_task,
+            [(n, prefix, filt) for prefix in prefixes],
+            chunksize=max(1, len(prefixes) // (8 * workers)),
+        )
+        for p_total, p_hist, p_best, p_wit, p_matches in parts:
+            total += p_total
+            for value, cnt in p_hist.items():
+                hist[value] = hist.get(value, 0) + cnt
+            if p_best > best:
+                best, witnesses = p_best, list(p_wit)
+            elif p_best == best >= 0:
+                witnesses = (witnesses + list(p_wit))[:WITNESS_CAP]
+            for word in p_matches:
+                consumer(word, classify(word))
     return _build_stats(n, total, hist, best, witnesses)
 
 
@@ -647,13 +500,14 @@ def cache_stats(stats: EnumStats, path: str | os.PathLike) -> None:
 
 
 def load_stats(path: str | os.PathLike) -> EnumStats:
-    """Read a stats file, re-verifying every stored witness."""
+    """Read a stats file, checking that its counts agree with its histogram
+    and with n, and re-verifying every stored witness."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CacheFormatError(f"not a stats file: {exc}") from exc
-    version = obj.get("format_version")
+    version = obj.get("format_version") if isinstance(obj, dict) else None
     if version != STATS_FORMAT_VERSION:
         raise CacheFormatError(
             f"unsupported stats format version {version!r}, "
@@ -661,6 +515,8 @@ def load_stats(path: str | os.PathLike) -> EnumStats:
         )
     try:
         n = int(obj["n"])
+        if not all(isinstance(word, str) for word in obj["max_witnesses"]):
+            raise TypeError("witnesses must be words")
         max_prob = (
             Fraction(obj["max_prob"]) if obj["max_prob"] is not None else None
         )
@@ -678,8 +534,7 @@ def load_stats(path: str | os.PathLike) -> EnumStats:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CacheFormatError(f"malformed stats file: {exc}") from exc
-    if stats.max_prob is not None and not stats.max_witnesses:
-        raise CacheIntegrityError("max_prob present but no witnesses stored")
+    _check_consistent(stats)
     for word in stats.max_witnesses:
         try:
             verdict = classify(word)
@@ -699,3 +554,36 @@ def load_stats(path: str | os.PathLike) -> EnumStats:
                 f"file says {stats.max_prob}"
             )
     return stats
+
+
+def _check_consistent(stats: EnumStats) -> None:
+    """Every derived field must match what n and the histogram imply."""
+    n = stats.n
+    if not 1 <= n <= MAX_SIDES:
+        raise CacheIntegrityError(f"n={n} outside 1..{MAX_SIDES}")
+    hist = stats.histogram
+    for prob, cnt in hist.items():
+        if (prob * n * n).denominator != 1 or not 0 <= prob <= 1 or cnt < 1:
+            raise CacheIntegrityError(f"histogram entry {prob}: {cnt} impossible at n={n}")
+    half = Fraction(1, 2)
+    above = [prob for prob in hist if prob > half]
+    max_prob = max(above, default=None)
+    witnesses = list(stats.max_witnesses)
+    for field, stored, implied in (
+        ("total_words", stats.total_words, total_word_count(n)),
+        ("count_balanced", stats.count_balanced, sum(hist.values())),
+        (
+            "count_balanced_nontransitive",
+            stats.count_balanced_nontransitive,
+            sum(hist[prob] for prob in above),
+        ),
+        ("count_fair", stats.count_fair, hist.get(half, 0)),
+        ("max_prob", stats.max_prob, max_prob),
+        ("witness count", len(witnesses), min(WITNESS_CAP, hist.get(max_prob, 0))),
+    ):
+        if stored != implied:
+            raise CacheIntegrityError(
+                f"{field} is {stored}, but n and the histogram imply {implied}"
+            )
+    if witnesses != sorted(set(witnesses)):
+        raise CacheIntegrityError("witnesses are not in strict lexicographic order")

@@ -3,6 +3,7 @@
 import io
 import contextlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -105,6 +106,31 @@ class TestCommandsRun:
         )
         assert code == 1
         assert "label 1" in err
+
+    def test_dice2word_rejects_non_int_and_duplicate_labels(self):
+        code, out, err = run_cli(
+            [
+                "dice2word",
+                '{"n":3.7,"A":[1.9,5.2,9.0],"B":[3,4,8,8],"C":[2,6,7]}',
+            ]
+        )
+        assert code == 1
+        assert out == ""
+        assert "dice-set" in err
+
+    def test_bounds_json_enclosures_contain_their_values(self):
+        code, out, _ = run_cli(["bounds", "--monotone-limit", "10", "--json"])
+        assert code == 0
+        payload = json.loads(out)
+        for key in ("limit_excess", "limit_excess_variant_154", "limit_excess_shortened"):
+            surd = payload[key]
+            a, b, c, d = (surd[k] for k in "abcd")
+            assert b == -1  # value = (a - sqrt(d))/c, c > 0
+            lo, hi = (Fraction(text) for text in surd["enclosure"])
+            # lo <= value  <=>  sqrt(d) <= a - lo*c
+            assert a - lo * c >= 0 and d <= (a - lo * c) ** 2, key
+            # value <= hi  <=>  sqrt(d) >= a - hi*c
+            assert a - hi * c <= 0 or d >= (a - hi * c) ** 2, key
 
     def test_roundtrip_through_json_outputs(self):
         _, out, _ = run_cli(["word2dice", "ACBBACCBA", "--json"])

@@ -115,6 +115,27 @@ class TestDiceWordConversion:
         d = dice_from_word("ACBBACCBA")
         assert DiceSet.from_json(d.to_json()) == d
 
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 3.7, "A": [1.9, 5.2, 9.0], "B": [3, 4, 8, 8], "C": [2, 6, 7]},
+            {"n": 3, "A": [1, 5, 9], "B": [3, 4, 8, 8], "C": [2, 6, 7]},
+            {"n": 3, "A": [1, 5, 9], "B": [3, 4, 4], "C": [2, 6, 7]},
+            {"n": 3, "A": [1, 5, 9], "B": [3, 4], "C": [2, 6, 7]},
+            {"n": 3, "A": [1, 5, 9], "B": ["3", 4, 8], "C": [2, 6, 7]},
+            {"n": 3, "A": [1, 5, 9.0], "B": [3, 4, 8], "C": [2, 6, 7]},
+            {"n": 3, "A": [1, 5, True], "B": [3, 4, 8], "C": [2, 6, 7]},
+            {"n": True, "A": [1], "B": [2], "C": [3]},
+            {"n": "3", "A": [1, 5, 9], "B": [3, 4, 8], "C": [2, 6, 7]},
+            {"n": 3, "A": [1, 5, 9], "B": [3, 4, 8]},
+            {"n": 3, "A": (1, 5, 9), "B": [3, 4, 8], "C": [2, 6, 7]},
+            [3, [1, 5, 9], [3, 4, 8], [2, 6, 7]],
+        ],
+    )
+    def test_from_json_requires_exact_ints_and_n_distinct_labels(self, obj):
+        with pytest.raises(DiceSetError):
+            DiceSet.from_json(obj)
+
 
 class TestPairCounts:
     def test_known_words(self):

@@ -1,7 +1,6 @@
 """Exhaustive scans: totals, filters, determinism, caching, fair census."""
 
 import json
-import os
 from fractions import Fraction
 
 import pytest
@@ -67,6 +66,25 @@ class TestGeneration:
 
         assert collect(1) == collect(2)
 
+    def test_stats_never_start_a_process(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a statistics scan started a process pool")
+
+        monkeypatch.setattr("ntdice.enumeration.ProcessPoolExecutor", refuse)
+        assert enumerate_words(5, workers=4) == enumerate_words(5)
+        assert max_probability(4, workers=2) == max_probability(4)
+
+    def test_parallel_stream_delivers_every_word_in_order(self):
+        for workers in (2, 3):
+            seen = []
+            stats = enumerate_words(
+                3, consumer=lambda w, v: seen.append((w, v)), workers=workers
+            )
+            assert [w for w, _ in seen] == sorted(w for w, _ in seen)
+            assert len(seen) == total_word_count(3)
+            assert all(v == classify(w) for w, v in seen)
+            assert stats == enumerate_words(3)
+
     def test_domain_errors(self):
         for n in (0, -1, 8):
             with pytest.raises(DomainError):
@@ -108,17 +126,30 @@ class TestKnownCensusValues:
         assert sum(stats.histogram.values()) == stats.count_balanced
         assert stats.count_fair == 0  # odd n cannot be fair
 
-    @pytest.mark.skipif(
-        not os.environ.get("NTDICE_LONG_TESTS"),
-        reason="399M-word scan, ~1 minute; set NTDICE_LONG_TESTS=1",
-    )
     def test_n7_long_run(self):
         prob, witnesses = max_probability(7, long_run=True)
         assert prob == Fraction(29, 49)
         assert prob < Fraction(1, 2) + Fraction(1, 9)
+        assert witnesses == (
+            "AABACCCCBCBBBBBAAAACC",
+            "AACCBCCBBBBABAAAACCCB",
+            "AACCCBBCBBBABAAAACCCB",
+            "AACCCBCBBBBABAAAACCBC",
+            "AACCCCBBBBBABAAAACBCC",
+            "ABAACCCCBCBBBBABAAACC",
+            "ACCCBBBBABAAAACCACCBB",
+            "ACCCBBBBABAAACAACCCBB",
+            "BAAACCCCBCBBBABBAAACC",
+            "BAAACCCCBCBBBBAABAACC",
+        )
         for word in witnesses:
             v = classify(word)
             assert v.balanced and v.nontransitive and v.p_ab == prob
+        stats = enumerate_words(7, long_run=True)
+        assert stats.total_words == 399_072_960
+        assert stats.count_balanced == 379_566
+        assert stats.count_balanced_nontransitive == 189_783
+        assert stats.histogram[prob] == 24
 
 
 class TestFilters:
@@ -240,6 +271,64 @@ class TestStatsCache:
         path.write_text(json.dumps(obj))
         with pytest.raises(CacheFormatError):
             load_stats(path)
+
+    def test_inconsistent_counts_detected(self, tmp_path):
+        path = tmp_path / "n3.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "format_version": 1,
+                    "n": 3,
+                    "total_words": 1,
+                    "count_balanced": 999999,
+                    "count_balanced_nontransitive": 0,
+                    "count_fair": 0,
+                    "max_prob": None,
+                    "max_witnesses": [],
+                    "histogram": {"1/2": 1},
+                }
+            )
+        )
+        with pytest.raises(CacheIntegrityError):
+            load_stats(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 99),
+            ("n", 0),
+            ("total_words", 1679),
+            ("count_balanced", 1),
+            ("count_balanced_nontransitive", 7),
+            ("count_fair", 1),
+            ("max_prob", None),
+            ("histogram", {"5/9": 6}),
+            ("histogram", {"1/2": 1, "5/9": 6}),
+        ],
+    )
+    def test_each_derived_field_checked(self, tmp_path, field, value):
+        path = tmp_path / "n3.json"
+        cache_stats(enumerate_words(3), path)
+        obj = json.loads(path.read_text())
+        obj[field] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CacheIntegrityError):
+            load_stats(path)
+
+    def test_witness_order_and_cap_checked(self, tmp_path):
+        path = tmp_path / "n4.json"
+        cache_stats(enumerate_words(4), path)
+        good = json.loads(path.read_text())
+        assert len(good["max_witnesses"]) >= 2
+        for witnesses in (
+            good["max_witnesses"][::-1],
+            good["max_witnesses"][:1] * 2,
+            good["max_witnesses"][:-1],
+            good["max_witnesses"] * 2,
+        ):
+            path.write_text(json.dumps({**good, "max_witnesses": witnesses}))
+            with pytest.raises(CacheIntegrityError):
+                load_stats(path)
 
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
