@@ -264,9 +264,7 @@ def _resolve_out(path: str) -> str:
 
 
 def _cmd_enumerate(args) -> int:
-    stats = enumerate_words(
-        args.n, workers=args.workers, long_run=args.long_run
-    )
+    stats = enumerate_words(args.n, long_run=args.long_run)
     if args.out:
         out_path = _resolve_out(args.out)
         cache_stats(stats, out_path)
@@ -287,7 +285,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_scan_max(args) -> int:
-    result = max_probability(args.n, workers=args.workers, long_run=args.long_run)
+    result = max_probability(args.n, long_run=args.long_run)
     if result is None:
         payload = {"n": args.n, "max_prob": None, "witnesses": []}
     else:
@@ -412,13 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("enumerate", "exhaustive scan of all words at fixed n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--long-run", action="store_true")
     p.add_argument("--out", help=f"write stats JSON (relative paths honor ${CACHE_DIR_ENV})")
 
     p = add("scan-max", "maximum probability over balanced non-transitive words")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--long-run", action="store_true")
 
     p = add("verify-fair", "fair-word census and block-product reachability")

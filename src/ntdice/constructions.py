@@ -462,6 +462,11 @@ class BoundReport:
         }
 
 
+# Growth of the two round-count roots at p, as (s, t, u, v, w): it holds
+# iff (s*p + t)^2 < 676*(u*p^2 + v*p + w).
+_ROOT_GROWTH = ((306, 92, 153, 108, 20), (306, 200, 153, 216, 80))
+
+
 def certify_root_monotonicity(limit: int) -> bool:
     """Certify by integer arithmetic that the round-count root expressions
     13p+4 - sqrt(153p^2+108p+20) and 13p+8 - sqrt(153p^2+216p+80) increase
@@ -470,14 +475,14 @@ def certify_root_monotonicity(limit: int) -> bool:
     Each step reduces to an inequality between squared integers:
     growth at p holds iff (306p + 92)^2 < 676*(153p^2 + 108p + 20) for the
     first expression, and (306p + 200)^2 < 676*(153p^2 + 216p + 80) for
-    the second.
+    the second.  The right side minus the left is a quadratic in p
+    (9792p^2 + 16704p + 5056 and 9792p^2 + 23616p + 14080); with every
+    coefficient positive it is positive at every p >= 1, so one look at
+    the coefficients certifies every limit at once.
     """
-    for pp in range(1, limit + 1):
-        lhs = 306 * pp + 92
-        if lhs * lhs >= 676 * (153 * pp * pp + 108 * pp + 20):
-            return False
-        lhs = 306 * pp + 200
-        if lhs * lhs >= 676 * (153 * pp * pp + 216 * pp + 80):
+    for s, t, u, v, w in _ROOT_GROWTH:
+        coefficients = (676 * u - s * s, 676 * v - 2 * s * t, 676 * w - t * t)
+        if min(coefficients) <= 0:
             return False
     return True
 

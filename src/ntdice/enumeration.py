@@ -1,32 +1,33 @@
 """Exhaustive generation and classification of all dice words at fixed n.
 
 The scan is the package's ground truth: every closed-form count elsewhere
-can be rediscovered here.  Two engines share one contract:
+can be rediscovered here.  Two pieces share one pruning test, which asks
+whether the final counts a prefix can still reach admit a word the filter
+passes:
 
-* a statistics engine, a layered count DP.  It reads words left to right
-  and keeps, for each count of letters placed so far, the multiplicity of
-  every reachable triple of running win counts.  Words that share both
-  collapse into one state, and a state is dropped as soon as the three
-  counts can no longer meet, so n = 7 (399,072,960 words) takes well
-  under a second.  Witnesses come from a depth-first walk in
-  lexicographic order under the same pruning.  It runs in one process;
-* a streaming engine that visits every complete word in lexicographic
-  order, classifying each and feeding filter matches to a consumer.  With
-  several workers it partitions the word tree by prefix and hands each
-  partition's matches on in lexicographic order.
+* the statistics come from a layered count DP.  It reads words left to
+  right and keeps, for each count of letters placed so far, the
+  multiplicity of every reachable triple of running win counts.  Words
+  that share both collapse into one state, and a state is dropped as soon
+  as the three counts can no longer meet, so n = 7 (399,072,960 words)
+  takes well under a second;
+* words themselves come from a depth-first walk in lexicographic order
+  that cuts every prefix no completion of which passes the filter and
+  remembers the states so cut.  It lists the witnesses of the maximum
+  and feeds a consumer the words matching its filter.
 
-Both engines produce identical statistics, whatever the worker count.
+Everything runs in one process; the results never depend on the worker
+count a caller passes.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Iterator
 
 from .core import (
@@ -125,176 +126,131 @@ def _steps(
         yield "C", (pa, pb, pc + 1), (ab, bc, ca + pa)
 
 
-def _window(n: int, placed: Placed, counts: Counts) -> tuple[int, int]:
-    """The range all three final counts must share.  Each letter still to
-    come adds between the current and the full tally of the letter it
-    beats, so the final N(A>B) lies in [ab + ra*pb, ab + ra*n], and
-    likewise for the other two; the window is their intersection, empty
-    when lo > hi."""
-    pa, pb, pc = placed
-    ab, bc, ca = counts
-    ra, rb, rc = n - pa, n - pb, n - pc
-    lo = max(ab + ra * pb, bc + rb * pc, ca + rc * pa)
-    hi = min(ab + ra * n, bc + rb * n, ca + rc * n)
-    return lo, hi
+def _pruner(n: int, filt: EnumFilter) -> Callable[[Placed, Counts], bool] | None:
+    """A test of whether some completion of a prefix can pass filt; None
+    when filt passes every word.
+
+    Each letter still to come adds between the current and the full tally
+    of the letter it beats, so the final N(A>B) lies in
+    [ab + ra*pb, ab + ra*n], and likewise for the other two.  Each interval
+    is clipped to the range the filter allows that count and must stay
+    non-empty; for balanced words the three must also meet.  At a complete
+    word every interval is a point, so the test is the filter itself."""
+    if filt == EnumFilter():
+        return None
+    sq = n * n
+    least = sq // 2 + 1 if filt.nontransitive else (sq + 1) // 2 if filt.fair else 0
+    most = sq // 2 if filt.fair else sq  # fair: an empty range when n^2 is odd
+    lo, hi = [least] * 3, [most] * 3
+    if filt.counts is not None:
+        lo = [max(least, c) for c in filt.counts]
+        hi = [min(most, c) for c in filt.counts]
+    if any(l > h for l, h in zip(lo, hi)):
+        return lambda placed, counts: False  # no word can pass
+    (la, lb, lc), (ha, hb, hc) = lo, hi
+    balanced = filt.balanced
+    low, high = max(lo), min(hi)  # the range all three share when balanced
+
+    def alive(placed: Placed, counts: Counts) -> bool:
+        pa, pb, pc = placed
+        ab, bc, ca = counts
+        ra, rb, rc = n - pa, n - pb, n - pc
+        lo_ab, hi_ab = ab + ra * pb, ab + ra * n
+        lo_bc, hi_bc = bc + rb * pc, bc + rb * n
+        lo_ca, hi_ca = ca + rc * pa, ca + rc * n
+        if balanced:
+            return max(lo_ab, lo_bc, lo_ca, low) <= min(hi_ab, hi_bc, hi_ca, high)
+        return (lo_ab <= ha and la <= hi_ab and lo_bc <= hb and lb <= hi_bc
+                and lo_ca <= hc and lc <= hi_ca)
+
+    return alive
 
 
 def _balanced_histogram(n: int) -> dict[int, int]:
     """Balanced words keyed by their common count, by the layered count DP.
 
     Layer k maps each letter tally of a k-letter prefix to a dict from
-    running counts to the number of prefixes reaching them.  A state that
-    survives to (n, n, n) has the window [max, min] of its three counts
-    non-empty, so it is balanced."""
+    running counts to the number of prefixes reaching them.  A state is
+    kept only while its three reachable final counts can still meet, so
+    every state that survives to (n, n, n) is balanced."""
+    alive = _pruner(n, EnumFilter(balanced=True))
     layer: dict[Placed, dict[Counts, int]] = {(0, 0, 0): {(0, 0, 0): 1}}
     for _ in range(3 * n):
         nxt: dict[Placed, dict[Counts, int]] = {}
         for placed, states in layer.items():
             for counts, mult in states.items():
                 for _letter, placed2, counts2 in _steps(n, placed, counts):
-                    lo, hi = _window(n, placed2, counts2)
-                    if lo > hi:
-                        continue
                     bucket = nxt.setdefault(placed2, {})
-                    bucket[counts2] = bucket.get(counts2, 0) + mult
+                    if counts2 in bucket:
+                        bucket[counts2] += mult
+                    elif alive(placed2, counts2):
+                        bucket[counts2] = mult
         layer = nxt
     return {counts[0]: mult for counts, mult in layer.get((n, n, n), {}).items()}
 
 
-def _witnesses(n: int, best: int) -> list[str]:
-    """The lexicographically-first WITNESS_CAP words whose three counts all
-    equal best, by a depth-first walk in A, B, C order pruned by the
-    window; states already found to lead nowhere are remembered."""
-    found: list[str] = []
+def _walk(n: int, filt: EnumFilter, emit: Callable[[str, Counts], bool | None]) -> None:
+    """Hand every complete word passing filt, with its counts, to emit in
+    lexicographic order, until emit returns True.
+
+    A depth-first walk in A, B, C order that cuts a prefix as soon as the
+    pruner says no completion can pass, and remembers the states so cut,
+    so a state met again under another prefix is cut at once.  A filter
+    that passes every word cuts nothing."""
+    alive = _pruner(n, filt)
     path: list[str] = []
     dead: set[tuple[Placed, Counts]] = set()
+    stopped = False
 
-    def walk(placed: Placed, counts: Counts) -> bool:
-        lo, hi = _window(n, placed, counts)
-        if not lo <= best <= hi or (placed, counts) in dead:
+    def visit(placed: Placed, counts: Counts) -> bool:
+        nonlocal stopped
+        if alive is not None and (
+            not alive(placed, counts) or (placed, counts) in dead
+        ):
             return False
         if len(path) == 3 * n:
-            found.append("".join(path))
+            stopped = bool(emit("".join(path), counts))
             return True
         live = False
         for letter, placed2, counts2 in _steps(n, placed, counts):
             path.append(letter)
-            live = walk(placed2, counts2) or live
+            live = visit(placed2, counts2) or live
             path.pop()
-            if len(found) == WITNESS_CAP:
-                break
+            if stopped:
+                return True
         if not live:
             dead.add((placed, counts))
         return live
 
-    walk((0, 0, 0), (0, 0, 0))
+    visit((0, 0, 0), (0, 0, 0))
+
+
+def _witnesses(n: int, best: int) -> list[str]:
+    """The lexicographically-first WITNESS_CAP words whose three counts all
+    equal best."""
+    found: list[str] = []
+
+    def keep(word: str, _counts: Counts) -> bool:
+        found.append(word)
+        return len(found) == WITNESS_CAP
+
+    _walk(n, EnumFilter(counts=(best, best, best)), keep)
     return found
 
 
-def _stream_scan(
-    n: int,
-    prefix: str,
-    filt: EnumFilter | None,
-    consumer: Callable[[str, Verdict], None] | None,
-    collect: bool,
-) -> tuple[int, dict[int, int], int, tuple[str, ...], tuple[str, ...]]:
-    """Full enumeration below one prefix, visiting every word."""
+def _build_stats(n: int, hist: dict[int, int]) -> EnumStats:
     sq = n * n
-    total = 0
-    hist: dict[int, int] = {}
-    best = -1
-    witnesses: list[str] = []
-    matches: list[str] = []
-    path = list(prefix) + [""] * (3 * n - len(prefix))
-
-    ra = rb = rc = n
-    ab0 = bc0 = ca0 = 0
-    for ch in prefix:
-        if ch == "A":
-            ab0 += n - rb
-            ra -= 1
-        elif ch == "B":
-            bc0 += n - rc
-            rb -= 1
-        else:
-            ca0 += n - ra
-            rc -= 1
-
-    def leaf(ab: int, bc: int, ca: int) -> None:
-        nonlocal total, best
-        total += 1
-        balanced = ab == bc == ca
-        if balanced:
-            hist[ab] = hist.get(ab, 0) + 1
-            if 2 * ab > sq:
-                if ab > best:
-                    best = ab
-                    witnesses.clear()
-                if ab == best and len(witnesses) < WITNESS_CAP:
-                    witnesses.append("".join(path))
-        if filt is not None and (consumer is not None or collect):
-            counts = PairCounts(n=n, ab=ab, bc=bc, ca=ca)
-            verdict = verdict_from_counts(counts)
-            if filt.matches(verdict):
-                word = "".join(path)
-                if collect:
-                    matches.append(word)
-                else:
-                    consumer(word, verdict)
-
-    def rec(depth: int, ra: int, rb: int, rc: int, ab: int, bc: int, ca: int) -> None:
-        if ra == rb == rc == 0:
-            leaf(ab, bc, ca)
-            return
-        if ra:
-            path[depth] = "A"
-            rec(depth + 1, ra - 1, rb, rc, ab + (n - rb), bc, ca)
-        if rb:
-            path[depth] = "B"
-            rec(depth + 1, ra, rb - 1, rc, ab, bc + (n - rc), ca)
-        if rc:
-            path[depth] = "C"
-            rec(depth + 1, ra, rb, rc - 1, ab, bc, ca + (n - ra))
-
-    rec(len(prefix), ra, rb, rc, ab0, bc0, ca0)
-    return total, hist, best, tuple(witnesses), tuple(matches)
-
-
-def _stream_task(
-    args: tuple[int, str, EnumFilter | None]
-) -> tuple[int, dict[int, int], int, tuple[str, ...], tuple[str, ...]]:
-    n, prefix, filt = args
-    return _stream_scan(n, prefix, filt, None, collect=True)
-
-
-def _partition_prefixes(n: int, workers: int) -> list[str]:
-    """Lexicographic prefixes splitting the word tree into >= 64*workers
-    partitions (letter counts within each prefix never exceed n)."""
-    depth = 1
-    while 3**depth < 64 * workers and depth < 3 * n:
-        depth += 1
-    return [
-        "".join(letters)
-        for letters in itertools.product("ABC", repeat=depth)
-        if max(map(letters.count, "ABC")) <= n
-    ]
-
-
-def _build_stats(
-    n: int, total: int, hist: dict[int, int], best: int, witnesses: list[str]
-) -> EnumStats:
-    sq = n * n
-    count_balanced = sum(hist.values())
+    best = max((v for v in hist if 2 * v > sq), default=-1)
     count_fair = hist.get(sq // 2, 0) if sq % 2 == 0 else 0
     count_bnt = sum(cnt for value, cnt in hist.items() if 2 * value > sq)
     return EnumStats(
         n=n,
-        total_words=total,
-        count_balanced=count_balanced,
+        total_words=total_word_count(n),
+        count_balanced=sum(hist.values()),
         count_balanced_nontransitive=count_bnt,
         count_fair=count_fair,
         max_prob=Fraction(best, sq) if best >= 0 else None,
-        max_witnesses=tuple(witnesses),
+        max_witnesses=tuple(_witnesses(n, best)) if best >= 0 else (),
         histogram={Fraction(v, sq): c for v, c in sorted(hist.items())},
     )
 
@@ -308,52 +264,24 @@ def enumerate_words(
 ) -> EnumStats:
     """Account for every complete word on n sides exactly once.
 
-    Without a consumer the statistics come from the layered count DP in
-    this process; workers is ignored and no word is materialized except
-    the witnesses.  With a consumer the stream engine visits every word
-    and hands words matching filt (conjunctive flags; all words when filt
-    is None) to the consumer in lexicographic order; with workers > 1 it
-    partitions the word tree over a process pool.  Statistics are
-    identical for either engine and any worker count.
+    With a consumer, the words matching filt (conjunctive flags; all words
+    when filt is None) are handed to it with their verdicts in
+    lexicographic order, by a depth-first walk that cuts every prefix no
+    completion of which can match; the consumer's return value is
+    ignored.  The statistics come from the layered count DP and their
+    witnesses from the same walk, whatever the arguments.  Everything runs
+    in this process: workers is accepted and ignored.
     """
     _check_sides(n, long_run)
-    if consumer is None:
-        hist = _balanced_histogram(n)
-        best = max((v for v in hist if 2 * v > n * n), default=-1)
-        witnesses = _witnesses(n, best) if best >= 0 else []
-        return _build_stats(n, total_word_count(n), hist, best, witnesses)
-    if filt is None:
-        filt = EnumFilter()  # match everything
-    if workers <= 1:
-        total, hist, best, wit, _ = _stream_scan(
-            n, "", filt, consumer, collect=False
-        )
-        return _build_stats(n, total, hist, best, list(wit))
+    if consumer is not None:
+        # Many words share their counts, and a verdict is immutable.
+        verdict = cache(lambda counts: verdict_from_counts(PairCounts(n, *counts)))
 
-    # Partitions come back in lexicographic order; each is folded into the
-    # statistics and its matches delivered before the next is taken.
-    prefixes = _partition_prefixes(n, workers)
-    total = 0
-    hist: dict[int, int] = {}
-    best = -1
-    witnesses: list[str] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(
-            _stream_task,
-            [(n, prefix, filt) for prefix in prefixes],
-            chunksize=max(1, len(prefixes) // (8 * workers)),
-        )
-        for p_total, p_hist, p_best, p_wit, p_matches in parts:
-            total += p_total
-            for value, cnt in p_hist.items():
-                hist[value] = hist.get(value, 0) + cnt
-            if p_best > best:
-                best, witnesses = p_best, list(p_wit)
-            elif p_best == best >= 0:
-                witnesses = (witnesses + list(p_wit))[:WITNESS_CAP]
-            for word in p_matches:
-                consumer(word, classify(word))
-    return _build_stats(n, total, hist, best, witnesses)
+        def deliver(word: str, counts: Counts) -> None:
+            consumer(word, verdict(counts))
+
+        _walk(n, filt or EnumFilter(), deliver)
+    return _build_stats(n, _balanced_histogram(n))
 
 
 def max_probability(
@@ -493,10 +421,21 @@ def stats_to_json(stats: EnumStats) -> dict:
 
 
 def cache_stats(stats: EnumStats, path: str | os.PathLike) -> None:
-    """Write stats to a self-describing JSON file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(stats_to_json(stats), fh, indent=1, sort_keys=False)
-        fh.write("\n")
+    """Write stats to a self-describing JSON file.
+
+    The file is written under a temporary name in the same directory and
+    then renamed over path, so a write that fails part-way leaves any
+    earlier file at path whole."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            json.dump(stats_to_json(stats), fh, indent=1, sort_keys=False)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_stats(path: str | os.PathLike) -> EnumStats:

@@ -52,10 +52,11 @@ class TestGoldenOutputs:
             second = run_cli(argv)
             assert first == second
 
-    def test_scan_max_independent_of_workers(self):
-        _, one, _ = run_cli(["scan-max", "--n", "3", "--json"])
-        _, two, _ = run_cli(["scan-max", "--n", "3", "--workers", "2", "--json"])
-        assert one == two
+    def test_workers_flag_is_a_usage_error(self):
+        for command in ("enumerate", "scan-max"):
+            code, out, _ = run_cli([command, "--n", "3", "--workers", "2", "--json"])
+            assert code == 2
+            assert out == ""
 
 
 class TestExitCodes:

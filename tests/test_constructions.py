@@ -195,6 +195,20 @@ class TestOptimizer:
             assert Fraction(report.achieved.ab, n * n) < bound
 
 
+def _root_growth_by_loop(limit):
+    """The per-p check the closed-form certificate replaces: growth at p
+    holds iff (306p + 92)^2 < 676*(153p^2 + 108p + 20) and
+    (306p + 200)^2 < 676*(153p^2 + 216p + 80)."""
+    for pp in range(1, limit + 1):
+        lhs = 306 * pp + 92
+        if lhs * lhs >= 676 * (153 * pp * pp + 108 * pp + 20):
+            return False
+        lhs = 306 * pp + 200
+        if lhs * lhs >= 676 * (153 * pp * pp + 216 * pp + 80):
+            return False
+    return True
+
+
 class TestBounds:
     def test_verdicts(self):
         report = bound_report(monotone_limit=1000)
@@ -231,6 +245,15 @@ class TestBounds:
 
     def test_monotonicity_certificate(self):
         assert certify_root_monotonicity(10_000)
+        for limit in (0, 1, 2, 100, 10_000):
+            assert certify_root_monotonicity(limit) == _root_growth_by_loop(limit)
+
+    def test_monotonicity_certificate_reads_its_inequalities(self, monkeypatch):
+        # 676*(100p^2 + 108p + 20) - (306p + 92)^2 = -26036p^2 + 16704p + 5056
+        # is negative at every p >= 1: this growth inequality never holds
+        failing = ((306, 92, 100, 108, 20),)
+        monkeypatch.setattr("ntdice.constructions._ROOT_GROWTH", failing)
+        assert not certify_root_monotonicity(10)
 
 
 class TestReferenceTables:

@@ -1,7 +1,10 @@
 """Exhaustive scans: totals, filters, determinism, caching, fair census."""
 
+import itertools
 import json
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -16,6 +19,7 @@ from ntdice import (
     verify_fair_conjecture,
 )
 from ntdice.enumeration import (
+    WITNESS_CAP,
     CacheFormatError,
     CacheIntegrityError,
     total_word_count,
@@ -38,14 +42,15 @@ class TestGeneration:
 
     def test_stream_and_stats_engines_agree(self):
         for n in (1, 2, 3, 4):
-            streamed = enumerate_words(n, filt=EnumFilter(), consumer=lambda w, v: None)
-            collapsed = enumerate_words(n)
-            assert streamed == collapsed
+            census = _Census()
+            enumerate_words(n, consumer=lambda w, v: census.add(w, classify(w)))
+            assert census.summary() == _summary(enumerate_words(n))
 
     def test_engines_agree_at_n5(self):
         # 756,756 words: the largest size where the full visit is cheap
-        streamed = enumerate_words(5, filt=EnumFilter(), consumer=lambda w, v: None)
-        assert streamed == enumerate_words(5)
+        census = _Census()
+        enumerate_words(5, consumer=census.add)
+        assert census.summary() == _summary(enumerate_words(5))
 
     def test_worker_determinism(self):
         s1 = enumerate_words(3, workers=1)
@@ -66,13 +71,22 @@ class TestGeneration:
 
         assert collect(1) == collect(2)
 
-    def test_stats_never_start_a_process(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a statistics scan started a process pool")
+    def test_enumeration_never_starts_a_process(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("an enumeration started a process")
 
-        monkeypatch.setattr("ntdice.enumeration.ProcessPoolExecutor", refuse)
+        monkeypatch.setattr("multiprocessing.process.BaseProcess.start", refuse)
         assert enumerate_words(5, workers=4) == enumerate_words(5)
         assert max_probability(4, workers=2) == max_probability(4)
+        streamed = {}
+        for workers in (1, 4):
+            got = streamed[workers] = []
+            stats = enumerate_words(
+                4, consumer=lambda w, v: got.append(w), workers=workers
+            )
+            assert stats == enumerate_words(4)
+        assert streamed[4] == streamed[1]
+        assert len(streamed[1]) == total_word_count(4)
 
     def test_parallel_stream_delivers_every_word_in_order(self):
         for workers in (2, 3):
@@ -91,6 +105,67 @@ class TestGeneration:
                 enumerate_words(n)
         with pytest.raises(DomainError, match="long_run"):
             enumerate_words(7)
+
+
+class _Census:
+    """Totals, histogram and witnesses of the maximum, rebuilt from the
+    words and verdicts a consumer receives."""
+
+    def __init__(self):
+        self.total = 0
+        self.balanced = []
+
+    def add(self, word, verdict):
+        self.total += 1
+        if verdict.balanced:
+            self.balanced.append((word, verdict.p_ab))
+
+    def summary(self):
+        histogram = Counter(p for _, p in self.balanced)
+        best = max((p for p in histogram if p > Fraction(1, 2)), default=None)
+        witnesses = sorted(w for w, p in self.balanced if p == best)
+        return self.total, dict(histogram), best, witnesses[:WITNESS_CAP]
+
+
+def _summary(stats):
+    return (
+        stats.total_words,
+        stats.histogram,
+        stats.max_prob,
+        list(stats.max_witnesses),
+    )
+
+
+@lru_cache(maxsize=None)
+def _classified_words(n):
+    """Every word on n sides in lexicographic order, built letter by letter
+    and classified one by one, with no pruning."""
+    words = [""]
+    for _ in range(3 * n):
+        words = [w + x for w in words for x in "ABC" if w.count(x) < n]
+    return tuple((w, classify(w)) for w in words)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "balanced, nontransitive, fair",
+    list(itertools.product((False, True), repeat=3)),
+)
+def test_pruned_stream_is_exact(n, balanced, nontransitive, fair):
+    classified = _classified_words(n)
+    bal = [v.counts.as_tuple() for _, v in classified if v.balanced]
+    sq = n * n
+    for counts in (
+        None,
+        bal[-1] if bal else (sq // 2,) * 3,  # balanced
+        classified[len(classified) // 2][1].counts.as_tuple(),  # unbalanced
+        (sq + 1,) * 3,  # unreachable
+        (-1, sq // 2, sq // 2),  # unreachable
+    ):
+        filt = EnumFilter(balanced, nontransitive, fair, counts)
+        got = []
+        enumerate_words(n, filt=filt, consumer=lambda w, v: got.append((w, v)))
+        assert got == [(w, v) for w, v in classified if filt.matches(v)]
 
 
 class TestKnownCensusValues:
@@ -329,6 +404,20 @@ class TestStatsCache:
             path.write_text(json.dumps({**good, "max_witnesses": witnesses}))
             with pytest.raises(CacheIntegrityError):
                 load_stats(path)
+
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "n3.json"
+        cache_stats(enumerate_words(3), path)
+        before = path.read_bytes()
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", fail)
+        with pytest.raises(OSError, match="disk full"):
+            cache_stats(enumerate_words(4), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
