@@ -87,31 +87,36 @@ def is_irreducible(word: str) -> IrreducibilityReport:
     """Check whether a balanced non-transitive word splits into two.
 
     A word is reducible when some proper prefix and the matching suffix
-    are both balanced and non-transitive.  Only prefixes with equal letter
-    counts can qualify, so those are screened first; the first witness in
-    increasing prefix length is returned.
+    are both balanced and non-transitive; the first witness in increasing
+    prefix length is returned.  One scan keeps the prefix's letter tallies
+    and win counts.  Only a prefix with m letters of each kind can qualify,
+    and by the concatenation law its suffix has the word's counts minus the
+    prefix's minus m*(n - m), so every split is decided by integer
+    comparisons in O(L) total.
     """
     verdict = classify(word)
     if not (verdict.balanced and verdict.nontransitive):
         raise DomainError(
             "irreducibility is defined only for balanced non-transitive words"
         )
-    length = len(word)
+    n, total = verdict.counts.n, verdict.counts.ab
     na = nb = nc = 0
+    ab = bc = ca = 0
     for pos, ch in enumerate(word[:-1], start=1):
         if ch == "A":
+            ab += nb
             na += 1
         elif ch == "B":
+            bc += nc
             nb += 1
         else:
+            ca += na
             nc += 1
-        if pos % 3 or not (na == nb == nc):
+        m = na
+        if not (m == nb == nc and ab == bc == ca and 2 * ab > m * m):
             continue
-        left = classify(word[:pos])
-        if not (left.balanced and left.nontransitive):
-            continue
-        right = classify(word[pos:])
-        if right.balanced and right.nontransitive:
+        # the word and the prefix are balanced, so the suffix is too
+        if 2 * (total - ab - m * (n - m)) > (n - m) ** 2:
             return IrreducibilityReport(irreducible=False, witness_split=pos)
     return IrreducibilityReport(irreducible=True, witness_split=None)
 

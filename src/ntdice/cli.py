@@ -1,21 +1,27 @@
 """Command-line interface: one subcommand per package operation.
 
-Human-readable output by default, machine-readable with --json (stable
-field names, exact rationals as "num/den" strings).  Exit codes: 0 on
-success, 1 on domain errors, 2 on usage errors.
+Each subcommand is one row of ``COMMANDS``: a ``run(args)`` function whose
+docstring is the help text and which returns ``(payload, text_lines)``
+without printing, the public operations it exercises, and its argparse
+arguments.  ``main`` prints the payload with --json (stable field names,
+exact rationals as "num/den" strings) and the text lines otherwise.  Exit
+codes: 0 on success, 1 on domain errors, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import (
     DiceError,
     DiceSet,
+    DiceSetError,
     classify,
     combined_probability,
     concat,
@@ -42,160 +48,96 @@ from .enumeration import (
 
 CACHE_DIR_ENV = "NTDICE_CACHE_DIR"
 
-# Which public operations each subcommand exercises (directly or via its
-# report); the test suite checks this table covers every operation once.
-COMMAND_OPERATIONS = {
-    "analyze": ("parse_word", "pair_counts", "classify"),
-    "dice2word": ("word_from_dice",),
-    "word2dice": ("dice_from_word",),
-    "concat": ("concat", "predict_counts", "combined_probability"),
-    "irreducible": ("is_irreducible",),
-    "construct": ("construct_irreducible",),
-    "near-half": ("construct_near_half",),
-    "optimize": ("optimize_max_prob", "stage_word", "max_shift_rounds", "apply_move", "find_shift_sites"),
-    "bounds": ("bound_report",),
-    "enumerate": ("enumerate_words", "cache_stats", "load_stats"),
-    "scan-max": ("max_probability",),
-    "verify-fair": ("verify_fair_conjecture",),
-    "similar": ("similar",),
-    "normalize2": ("normalize_two_letter_fair",),
-}
 
-
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"))
-
-
-def _frac(value: Fraction | None) -> str | None:
-    return None if value is None else str(value)
-
-
-def _verdict_json(word: str) -> dict:
-    verdict = classify(word)
+def _analyze(args):
+    """classify a word (counts, probabilities, flags)"""
+    verdict = classify(args.word)
     counts = verdict.counts
-    return {
+    flags = ("balanced", "nontransitive", "fair")
+    payload = {
         "n": counts.n,
-        "counts": [counts.ab, counts.bc, counts.ca],
+        "counts": list(counts.as_tuple()),
         "p": str(verdict.p_ab) if verdict.balanced else None,
-        "balanced": verdict.balanced,
-        "nontransitive": verdict.nontransitive,
-        "fair": verdict.fair,
+        **{name: getattr(verdict, name) for name in flags},
     }
+    lines = [
+        f"word: {args.word}",
+        f"n: {counts.n}",
+        f"N(A>B): {counts.ab}   P(A>B): {verdict.p_ab}",
+        f"N(B>C): {counts.bc}   P(B>C): {verdict.p_bc}",
+        f"N(C>A): {counts.ca}   P(C>A): {verdict.p_ca}",
+        "  ".join(f"{name}: {'yes' if payload[name] else 'no'}" for name in flags),
+    ]
+    return payload, lines
 
 
-def _print_verdict(word: str) -> None:
-    verdict = classify(word)
-    counts = verdict.counts
-    print(f"word: {word}")
-    print(f"n: {counts.n}")
-    print(f"N(A>B): {counts.ab}   P(A>B): {verdict.p_ab}")
-    print(f"N(B>C): {counts.bc}   P(B>C): {verdict.p_bc}")
-    print(f"N(C>A): {counts.ca}   P(C>A): {verdict.p_ca}")
-    flags = []
-    for name, value in (
-        ("balanced", verdict.balanced),
-        ("nontransitive", verdict.nontransitive),
-        ("fair", verdict.fair),
-    ):
-        flags.append(f"{name}: {'yes' if value else 'no'}")
-    print("  ".join(flags))
-
-
-def _cmd_analyze(args) -> int:
-    if args.json:
-        print(_dumps(_verdict_json(args.word)))
-    else:
-        _print_verdict(args.word)
-    return 0
-
-
-def _cmd_dice2word(args) -> int:
-    dice = DiceSet.from_json(json.loads(args.dice_json))
+def _dice2word(args):
+    """convert a dice-set JSON object to its word"""
+    try:
+        obj = json.loads(args.dice_json)
+    except json.JSONDecodeError as exc:
+        raise DiceSetError(f"malformed dice-set JSON: {exc}") from None
+    dice = DiceSet.from_json(obj)
     word = word_from_dice(dice)
-    if args.json:
-        print(_dumps({"word": word, "n": dice.n}))
-    else:
-        print(word)
-    return 0
+    return {"word": word, "n": dice.n}, [word]
 
 
-def _cmd_word2dice(args) -> int:
-    dice = dice_from_word(args.word)
-    if args.json:
-        print(_dumps(dice.to_json()))
-    else:
-        for name, labels in (("A", dice.a), ("B", dice.b), ("C", dice.c)):
-            print(f"{name}: {' '.join(map(str, sorted(labels, reverse=True)))}")
-    return 0
+def _word2dice(args):
+    """convert a complete word to its dice sets"""
+    payload = dice_from_word(args.word).to_json()
+    lines = [f"{name}: {' '.join(map(str, reversed(payload[name])))}" for name in "ABC"]
+    return payload, lines
 
 
-def _cmd_concat(args) -> int:
+def _concat(args):
+    """concatenate two complete words"""
     word = concat(args.word1, args.word2)
-    left = pair_counts(args.word1)
-    right = pair_counts(args.word2)
-    prediction = predict_counts(left, right)
-    actual = pair_counts(word)
+    left, right, actual = map(pair_counts, (args.word1, args.word2, word))
     p_ab = combined_probability(left.n, left.ab, right.n, right.ab)
     payload = {
         "word": word,
         "n": actual.n,
-        "counts": [actual.ab, actual.bc, actual.ca],
-        "predicted_counts": [
-            prediction.predicted.ab,
-            prediction.predicted.bc,
-            prediction.predicted.ca,
-        ],
+        "counts": list(actual.as_tuple()),
+        "predicted_counts": list(predict_counts(left, right).predicted.as_tuple()),
         "p_ab": str(p_ab),
     }
-    if args.json:
-        print(_dumps(payload))
-    else:
-        print(word)
-        print(f"counts: {payload['counts']}  (predicted {payload['predicted_counts']})")
-        print(f"P(A>B): {p_ab}")
-    return 0
+    lines = [
+        word,
+        f"counts: {payload['counts']}  (predicted {payload['predicted_counts']})",
+        f"P(A>B): {p_ab}",
+    ]
+    return payload, lines
 
 
-def _cmd_irreducible(args) -> int:
+def _irreducible(args):
+    """binary-split irreducibility check"""
     report = is_irreducible(args.word)
-    if args.json:
-        print(
-            _dumps(
-                {
-                    "irreducible": report.irreducible,
-                    "witness_split": report.witness_split,
-                }
-            )
-        )
-    else:
-        if report.irreducible:
-            print("irreducible")
-        else:
-            print(f"reducible: split after {report.witness_split} letters")
-    return 0
+    line = f"reducible: split after {report.witness_split} letters"
+    return dataclasses.asdict(report), ["irreducible" if report.irreducible else line]
 
 
-def _cmd_construct(args) -> int:
+def _construct(args):
+    """irreducible balanced non-transitive word, n >= 3"""
     word = construct_irreducible(args.n)
     verdict = classify(word)
-    report = is_irreducible(word)
+    irreducible = is_irreducible(word).irreducible
     payload = {
         "n": args.n,
         "word": word,
-        "counts": [verdict.counts.ab, verdict.counts.bc, verdict.counts.ca],
+        "counts": list(verdict.counts.as_tuple()),
         "p": str(verdict.p_ab),
-        "irreducible": report.irreducible,
+        "irreducible": irreducible,
     }
-    if args.json:
-        print(_dumps(payload))
-    else:
-        print(word)
-        print(f"counts: {payload['counts']}  P(A>B): {payload['p']}")
-        print(f"irreducible: {'yes' if report.irreducible else 'no'}")
-    return 0
+    lines = [
+        word,
+        f"counts: {payload['counts']}  P(A>B): {verdict.p_ab}",
+        f"irreducible: {'yes' if irreducible else 'no'}",
+    ]
+    return payload, lines
 
 
-def _cmd_near_half(args) -> int:
+def _near_half(args):
+    """family with probability 1/2 + 1/(2n^2)"""
     word = construct_near_half(args.m)
     verdict = classify(word)
     excess = verdict.p_ab - Fraction(1, 2)
@@ -203,169 +145,166 @@ def _cmd_near_half(args) -> int:
         "m": args.m,
         "n": verdict.counts.n,
         "word": word,
-        "counts": [verdict.counts.ab, verdict.counts.bc, verdict.counts.ca],
+        "counts": list(verdict.counts.as_tuple()),
         "p": str(verdict.p_ab),
         "excess": str(excess),
     }
-    if args.json:
-        print(_dumps(payload))
-    else:
-        print(word)
-        print(f"n: {verdict.counts.n}  P(A>B): {verdict.p_ab}  excess: {excess}")
-    return 0
+    line = f"n: {verdict.counts.n}  P(A>B): {verdict.p_ab}  excess: {excess}"
+    return payload, [word, line]
 
 
-def _cmd_optimize(args) -> int:
+def _optimize(args):
+    """drive the block family to its maximum probability"""
     report = optimize_max_prob(args.n)
-    if args.json:
-        print(_dumps(report.to_json()))
-    else:
-        sq = args.n * args.n
-        print(f"n: {report.n}  p: {report.p}  rounds: {report.rounds}")
-        print(f"target excess: {report.target_excess}")
-        print(f"achieved counts: {list(report.achieved.as_tuple())}")
-        print(f"achieved P(A>B): {Fraction(report.achieved.ab, sq)}")
-        print(f"gap: {report.gap}")
-        print(f"moves applied: {len(report.moves.moves)}")
-    return 0
+    payload = report.to_json()
+    lines = [
+        f"n: {report.n}  p: {report.p}  rounds: {report.rounds}",
+        f"target excess: {report.target_excess}",
+        f"achieved counts: {payload['achieved_counts']}",
+        f"achieved P(A>B): {payload['achieved_probability']}",
+        f"gap: {report.gap}",
+        f"moves applied: {len(report.moves.moves)}",
+    ]
+    return payload, lines
 
 
-def _cmd_bounds(args) -> int:
+def _bounds(args):
+    """exact limit constants and comparisons against 1/9"""
     report = bound_report(monotone_limit=args.monotone_limit)
-    if args.json:
-        print(_dumps(report.to_json()))
-    else:
-        print(f"excess bound: {report.bound}")
-        for name, surd in (
-            ("limit excess", report.limit_excess),
-            ("limit excess (sqrt 154 variant)", report.limit_excess_variant_154),
-            ("limit excess (shortened form)", report.limit_excess_shortened),
-        ):
-            lo, hi = surd.enclosure()
-            sign = "-" if surd.b < 0 else "+"
-            coeff = abs(surd.b)
-            print(
-                f"{name}: ({surd.a} {sign} {coeff}*sqrt({surd.d}))/{surd.c} "
-                f"in [{float(lo):.6f}, {float(hi):.6f}]"
-            )
-        print(f"all below bound: {all(report.below_bound.values())}")
-        print(f"root growth certified for p <= {report.monotone_certified_upto}")
-        for note in report.errata:
-            print(f"note: {note}")
-    return 0
+    lines = [f"excess bound: {report.bound}"]
+    for name, surd in (
+        ("limit excess", report.limit_excess),
+        ("limit excess (sqrt 154 variant)", report.limit_excess_variant_154),
+        ("limit excess (shortened form)", report.limit_excess_shortened),
+    ):
+        lo, hi = surd.enclosure()
+        sign = "-" if surd.b < 0 else "+"
+        lines.append(
+            f"{name}: ({surd.a} {sign} {abs(surd.b)}*sqrt({surd.d}))/{surd.c} "
+            f"in [{float(lo):.6f}, {float(hi):.6f}]"
+        )
+    lines.append(f"all below bound: {all(report.below_bound.values())}")
+    lines.append(f"root growth certified for p <= {report.monotone_certified_upto}")
+    lines.extend(f"note: {note}" for note in report.errata)
+    return report.to_json(), lines
 
 
-def _resolve_out(path: str) -> str:
-    cache_dir = os.environ.get(CACHE_DIR_ENV)
-    if cache_dir and not os.path.isabs(path):
-        os.makedirs(cache_dir, exist_ok=True)
-        return os.path.join(cache_dir, path)
-    return path
-
-
-def _cmd_enumerate(args) -> int:
+def _enumerate(args):
+    """exhaustive scan of all words at fixed n"""
     stats = enumerate_words(args.n, long_run=args.long_run)
+    lines = [
+        f"n: {stats.n}",
+        f"total words: {stats.total_words}",
+        f"balanced: {stats.count_balanced}",
+        f"balanced non-transitive: {stats.count_balanced_nontransitive}",
+        f"fair: {stats.count_fair}",
+        f"max probability: {stats.max_prob}",
+    ]
     if args.out:
-        out_path = _resolve_out(args.out)
+        out_path = args.out
+        cache_dir = os.environ.get(CACHE_DIR_ENV)
+        if cache_dir and not os.path.isabs(out_path):
+            os.makedirs(cache_dir, exist_ok=True)
+            out_path = os.path.join(cache_dir, out_path)
         cache_stats(stats, out_path)
         load_stats(out_path)  # round-trip integrity check
-    payload = stats_to_json(stats)
-    if args.json:
-        print(_dumps(payload))
-    else:
-        print(f"n: {stats.n}")
-        print(f"total words: {stats.total_words}")
-        print(f"balanced: {stats.count_balanced}")
-        print(f"balanced non-transitive: {stats.count_balanced_nontransitive}")
-        print(f"fair: {stats.count_fair}")
-        print(f"max probability: {_frac(stats.max_prob)}")
-        if args.out:
-            print(f"stats written to {_resolve_out(args.out)}")
-    return 0
+        lines.append(f"stats written to {out_path}")
+    return stats_to_json(stats), lines
 
 
-def _cmd_scan_max(args) -> int:
+def _scan_max(args):
+    """maximum probability over balanced non-transitive words"""
     result = max_probability(args.n, long_run=args.long_run)
     if result is None:
         payload = {"n": args.n, "max_prob": None, "witnesses": []}
-    else:
-        prob, witnesses = result
-        payload = {"n": args.n, "max_prob": str(prob), "witnesses": list(witnesses)}
-    if args.json:
-        print(_dumps(payload))
-    else:
-        if result is None:
-            print("no balanced non-transitive word exists")
-        else:
-            print(f"max probability: {payload['max_prob']}")
-            for word in payload["witnesses"]:
-                print(f"witness: {word}")
-    return 0
+        return payload, ["no balanced non-transitive word exists"]
+    prob, witnesses = result
+    payload = {"n": args.n, "max_prob": str(prob), "witnesses": list(witnesses)}
+    lines = [f"max probability: {prob}"] + [f"witness: {word}" for word in witnesses]
+    return payload, lines
 
 
-def _cmd_verify_fair(args) -> int:
+def _verify_fair(args):
+    """fair-word census and block-product reachability"""
     report = verify_fair_conjecture(args.n, bfs_budget=args.budget)
-    payload = {
-        "n": report.n,
-        "fair_words_found": report.fair_words_found,
-        "parity_ok": report.parity_ok,
-        "reachable_same_perm": report.reachable_same_perm,
-        "reachable_mixed_perm": report.reachable_mixed_perm,
-        "not_reachable_same_perm": report.not_reachable_same_perm,
-        "not_reachable_mixed_perm": report.not_reachable_mixed_perm,
-        "unresolved_same_perm": report.unresolved_same_perm,
-        "unresolved_mixed_perm": report.unresolved_mixed_perm,
-    }
-    if args.json:
-        print(_dumps(payload))
-    else:
-        for key, value in payload.items():
-            print(f"{key}: {value}")
-    return 0
+    payload = dataclasses.asdict(report)
+    return payload, [f"{key}: {value}" for key, value in payload.items()]
 
 
-def _cmd_similar(args) -> int:
+def _similar(args):
+    """breadth-first rewrite search between two words"""
     result = similar(args.word1, args.word2, budget=args.budget)
-    payload = {
-        "outcome": result.outcome,
-        "explored": result.explored,
-        "path": result.path.to_json() if result.path is not None else None,
-    }
-    if args.json:
-        print(_dumps(payload))
-    else:
-        print(f"outcome: {result.outcome} (explored {result.explored} words)")
-        if result.path is not None:
-            print(f"moves: {len(result.path.moves)}")
-    return 0
+    path = result.path.to_json() if result.path is not None else None
+    payload = {"outcome": result.outcome, "explored": result.explored, "path": path}
+    lines = [f"outcome: {result.outcome} (explored {result.explored} words)"]
+    if result.path is not None:
+        lines.append(f"moves: {len(result.path.moves)}")
+    return payload, lines
 
 
-def _cmd_normalize2(args) -> int:
+def _normalize2(args):
+    """normal form of a fair two-letter word"""
     path = normalize_two_letter_fair(args.word)
-    if args.json:
-        print(_dumps(path.to_json()))
-    else:
-        print(f"normal form: {path.end}")
-        print(f"moves: {len(path.moves)}")
-    return 0
+    return path.to_json(), [f"normal form: {path.end}", f"moves: {len(path.moves)}"]
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "dice2word": _cmd_dice2word,
-    "word2dice": _cmd_word2dice,
-    "concat": _cmd_concat,
-    "irreducible": _cmd_irreducible,
-    "construct": _cmd_construct,
-    "near-half": _cmd_near_half,
-    "optimize": _cmd_optimize,
-    "bounds": _cmd_bounds,
-    "enumerate": _cmd_enumerate,
-    "scan-max": _cmd_scan_max,
-    "verify-fair": _cmd_verify_fair,
-    "similar": _cmd_similar,
-    "normalize2": _cmd_normalize2,
+def _arg(*names: str, **options) -> tuple[tuple[str, ...], dict]:
+    return names, options
+
+
+_WORD = _arg("word")
+_TWO_WORDS = (_arg("word1"), _arg("word2"))
+_N = _arg("--n", type=int, required=True)
+_LONG_RUN = _arg("--long-run", action="store_true")
+_BUDGET = _arg("--budget", type=int, default=2_000_000)
+_DICE_JSON = _arg("dice_json", help='e.g. {"n":3,"A":[1,5,9],"B":[3,4,8],"C":[2,6,7]}')
+_OUT = _arg("--out", help=f"write stats JSON (relative paths honor ${CACHE_DIR_ENV})")
+
+
+class Command(NamedTuple):
+    """A subcommand: its run function, whose docstring is the help text, the
+    public operations it exercises (directly or via its report) and its arguments."""
+
+    run: Callable[[argparse.Namespace], tuple[dict, list[str]]]
+    operations: tuple[str, ...]
+    arguments: tuple[tuple[tuple[str, ...], dict], ...]
+
+
+COMMANDS = {
+    "analyze": Command(_analyze, ("parse_word", "pair_counts", "classify"), (_WORD,)),
+    "dice2word": Command(_dice2word, ("word_from_dice",), (_DICE_JSON,)),
+    "word2dice": Command(_word2dice, ("dice_from_word",), (_WORD,)),
+    "concat": Command(
+        _concat, ("concat", "predict_counts", "combined_probability"), _TWO_WORDS
+    ),
+    "irreducible": Command(_irreducible, ("is_irreducible",), (_WORD,)),
+    "construct": Command(_construct, ("construct_irreducible",), (_N,)),
+    "near-half": Command(
+        _near_half, ("construct_near_half",), (_arg("--m", type=int, required=True),)
+    ),
+    "optimize": Command(
+        _optimize,
+        ("optimize_max_prob", "stage_word", "max_shift_rounds", "apply_move", "find_shift_sites"),
+        (_N,),
+    ),
+    "bounds": Command(
+        _bounds,
+        ("bound_report",),
+        (_arg("--monotone-limit", type=int, default=1_000_000),),
+    ),
+    "enumerate": Command(
+        _enumerate,
+        ("enumerate_words", "cache_stats", "load_stats"),
+        (_N, _LONG_RUN, _OUT),
+    ),
+    "scan-max": Command(_scan_max, ("max_probability",), (_N, _LONG_RUN)),
+    "verify-fair": Command(_verify_fair, ("verify_fair_conjecture",), (_N, _BUDGET)),
+    "similar": Command(_similar, ("similar",), _TWO_WORDS + (_BUDGET,)),
+    "normalize2": Command(_normalize2, ("normalize_two_letter_fair",), (_WORD,)),
 }
+
+# The test suite checks that this covers every public operation once.
+COMMAND_OPERATIONS = {name: command.operations for name, command in COMMANDS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,72 +313,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact analysis of balanced non-transitive dice words.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.run.__doc__)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
-
-    p = add("analyze", "classify a word (counts, probabilities, flags)")
-    p.add_argument("word")
-
-    p = add("dice2word", "convert a dice-set JSON object to its word")
-    p.add_argument("dice_json", help='e.g. {"n":3,"A":[1,5,9],"B":[3,4,8],"C":[2,6,7]}')
-
-    p = add("word2dice", "convert a complete word to its dice sets")
-    p.add_argument("word")
-
-    p = add("concat", "concatenate two complete words")
-    p.add_argument("word1")
-    p.add_argument("word2")
-
-    p = add("irreducible", "binary-split irreducibility check")
-    p.add_argument("word")
-
-    p = add("construct", "irreducible balanced non-transitive word, n >= 3")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("near-half", "family with probability 1/2 + 1/(2n^2)")
-    p.add_argument("--m", type=int, required=True)
-
-    p = add("optimize", "drive the block family to its maximum probability")
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("bounds", "exact limit constants and comparisons against 1/9")
-    p.add_argument("--monotone-limit", type=int, default=1_000_000)
-
-    p = add("enumerate", "exhaustive scan of all words at fixed n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--long-run", action="store_true")
-    p.add_argument("--out", help=f"write stats JSON (relative paths honor ${CACHE_DIR_ENV})")
-
-    p = add("scan-max", "maximum probability over balanced non-transitive words")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--long-run", action="store_true")
-
-    p = add("verify-fair", "fair-word census and block-product reachability")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=int, default=2_000_000)
-
-    p = add("similar", "breadth-first rewrite search between two words")
-    p.add_argument("word1")
-    p.add_argument("word2")
-    p.add_argument("--budget", type=int, default=2_000_000)
-
-    p = add("normalize2", "normal form of a fair two-letter word")
-    p.add_argument("word")
-
+        for names, options in command.arguments:
+            p.add_argument(*names, **options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        payload, lines = COMMANDS[args.command].run(args)
     except DiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(json.dumps(payload, separators=(",", ":")) if args.json else "\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

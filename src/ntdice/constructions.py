@@ -188,8 +188,9 @@ def max_shift_rounds(n: int) -> int:
     * n = 6p+2:  m^2 - (13p+4)*m + 4p^2-p-1    >= 0
     * n = 6p+4:  m^2 - (13p+8)*m + 4p^2-2p-4   >= 0
 
-    The polynomial decreases on 0 <= m <= 2p, so the answer is found by
-    binary search; m = 0 (do nothing) is always admissible.
+    The polynomial decreases on 0 <= m <= 2p, so the answer is the floor of
+    its smaller root (lin - sqrt(lin^2 - 4*const))/2, taken with math.isqrt
+    and capped at 2p; m = 0 (do nothing) is always admissible.
     """
     p, _, c = _block_params(n)
     if c == 0:
@@ -200,14 +201,9 @@ def max_shift_rounds(n: int) -> int:
         lin, const = 13 * p + 8, 4 * p * p - 2 * p - 4
     if const < 0:  # even one round is infeasible
         return 0
-    lo, hi = 0, 2 * p
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid * mid - lin * mid + const >= 0:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    disc = lin * lin - 4 * const
+    root = math.isqrt(disc)
+    return min(2 * p, (lin - root - (root * root != disc)) // 2)
 
 
 @dataclass(frozen=True)
@@ -489,6 +485,8 @@ def certify_root_monotonicity(limit: int) -> bool:
 
 def bound_report(monotone_limit: int = 1_000_000) -> BoundReport:
     """Evaluate the family's limit constants exactly and compare to 1/9."""
+    if monotone_limit < 0:
+        raise DomainError(f"monotone limit must be >= 0, got {monotone_limit}")
     below = {
         "limit_excess": LIMIT_EXCESS.less_than(EXCESS_BOUND),
         "limit_excess_variant_154": LIMIT_EXCESS_VARIANT_154.less_than(

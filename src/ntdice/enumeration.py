@@ -345,6 +345,8 @@ def verify_fair_conjecture(
     """
     if not 1 <= n <= MAX_SIDES:
         raise DomainError(f"supported range is 1 <= n <= {MAX_SIDES}, got {n}")
+    if bfs_budget < 1:
+        raise DomainError(f"search budget must be at least 1, got {bfs_budget}")
     if n % 2:
         return FairConjectureReport(
             n=n,

@@ -349,6 +349,8 @@ def similar(w1: str, w2: str, budget: int = DEFAULT_BUDGET) -> SimilarityResult:
     order.  The move set is closed under inverses, making reachability
     symmetric in the two words.
     """
+    if budget < 1:
+        raise DomainError(f"search budget must be at least 1, got {budget}")
     require_complete(w1)
     require_complete(w2)
     if len(w1) != len(w2):
@@ -401,6 +403,8 @@ def similarity_class(
     budget stopped the search before the frontier emptied, in which case
     membership of absent words is unknown rather than refuted.
     """
+    if budget < 1:
+        raise DomainError(f"search budget must be at least 1, got {budget}")
     seeds = list(seeds)
     for w in seeds:
         require_complete(w)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from ntdice import enumerate_words
 
@@ -50,6 +52,18 @@ def random_complete_word(rng: random.Random, n: int) -> str:
     letters = list("A" * n + "B" * n + "C" * n)
     rng.shuffle(letters)
     return "".join(letters)
+
+
+# Settings of every property test: no deadline and no example database;
+# each test also fixes its own @seed.
+PROPERTY = settings(deadline=None, database=None, max_examples=300)
+
+
+def complete_words(max_sides: int) -> st.SearchStrategy[str]:
+    """Hypothesis strategy: complete words on 0..max_sides sides."""
+    return st.integers(0, max_sides).flatmap(
+        lambda n: st.permutations("A" * n + "B" * n + "C" * n).map("".join)
+    )
 
 
 @pytest.fixture(scope="session")

@@ -4,21 +4,64 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed
+from hypothesis import strategies as st
 
 from ntdice import (
     DomainError,
+    EnumFilter,
     IncompleteWordError,
+    IrreducibilityReport,
     classify,
     combined_probability,
     concat,
+    enumerate_words,
     is_irreducible,
     pair_counts,
     predict_counts,
 )
 from ntdice.algebra import verify_concat_law
-from ntdice.constructions import FAIR_BLOCK, SEED3, construct_irreducible
+from ntdice.constructions import FAIR_BLOCK, SEED3, SEED4, construct_irreducible
 
-from conftest import random_complete_word
+from conftest import PROPERTY, complete_words, random_complete_word
+
+
+def reference_is_irreducible(word: str) -> IrreducibilityReport:
+    """The former implementation: classify every qualifying prefix and
+    suffix from scratch, O(L^2) overall."""
+    verdict = classify(word)
+    if not (verdict.balanced and verdict.nontransitive):
+        raise DomainError(
+            "irreducibility is defined only for balanced non-transitive words"
+        )
+    na = nb = nc = 0
+    for pos, ch in enumerate(word[:-1], start=1):
+        if ch == "A":
+            na += 1
+        elif ch == "B":
+            nb += 1
+        else:
+            nc += 1
+        if pos % 3 or not (na == nb == nc):
+            continue
+        left = classify(word[:pos])
+        if not (left.balanced and left.nontransitive):
+            continue
+        right = classify(word[pos:])
+        if right.balanced and right.nontransitive:
+            return IrreducibilityReport(irreducible=False, witness_split=pos)
+    return IrreducibilityReport(irreducible=True, witness_split=None)
+
+
+def _balanced_words(n: int) -> list[str]:
+    words: list[str] = []
+    enumerate_words(n, filt=EnumFilter(balanced=True), consumer=lambda w, v: words.append(w))
+    return words
+
+
+# every balanced word on 2 and 3 sides: the fair ones, the balanced
+# non-transitive ones and the balanced transitive ones
+BALANCED_PIECES = _balanced_words(2) + _balanced_words(3)
 
 
 class TestConcat:
@@ -67,6 +110,13 @@ class TestPredictCounts:
             w1 = random_complete_word(rng, rng.randint(1, 8))
             w2 = random_complete_word(rng, rng.randint(1, 8))
             assert verify_concat_law(w1, w2)
+
+    @seed(20201)
+    @PROPERTY
+    @given(complete_words(8), complete_words(8))
+    def test_law_property(self, w1, w2):
+        left, right = pair_counts(w1), pair_counts(w2)
+        assert pair_counts(concat(w1, w2)) == predict_counts(left, right).predicted
 
 
 class TestCombinedProbability:
@@ -117,6 +167,30 @@ class TestIrreducibility:
         for part in (word[:s], word[s:]):
             v = classify(part)
             assert v.balanced and v.nontransitive
+
+    def test_matches_reference_on_products(self, bnt_words_n3):
+        words = [construct_irreducible(n) for n in range(3, 40)]
+        for a in bnt_words_n3 + [FAIR_BLOCK, SEED4]:
+            for b in bnt_words_n3 + [SEED4]:
+                words += [a + b, a + FAIR_BLOCK + b, FAIR_BLOCK + a + b + a]
+        reducible = 0
+        for word in words:
+            report = is_irreducible(word)
+            assert report == reference_is_irreducible(word), word
+            reducible += not report.irreducible
+        assert 0 < reducible < len(words)
+
+    @seed(20202)
+    @PROPERTY
+    @given(st.lists(st.sampled_from(BALANCED_PIECES), min_size=1, max_size=5))
+    def test_matches_reference_property(self, pieces):
+        word = "".join(pieces)
+        verdict = classify(word)
+        if not (verdict.balanced and verdict.nontransitive):
+            with pytest.raises(DomainError):
+                is_irreducible(word)
+            return
+        assert is_irreducible(word) == reference_is_irreducible(word)
 
 
 class TestPrependFairBlock:

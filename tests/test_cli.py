@@ -2,6 +2,7 @@
 
 import io
 import contextlib
+import hashlib
 import json
 from fractions import Fraction
 
@@ -29,6 +30,160 @@ GOLDEN_CONSTRUCT_7 = (
     '{"n":7,"word":"ABCCBAABCCBAACBBACCBA","counts":[25,25,25],'
     '"p":"25/49","irreducible":true}'
 )
+
+
+DICE = '{"n":3,"A":[1,5,9],"B":[3,4,8],"C":[2,6,7]}'
+
+# Stdout and exit code of every subcommand in text and --json mode; long
+# outputs are pinned by the SHA-256 of their bytes.
+GOLDEN = [
+    (
+        ["analyze", "ACBBACCBA"],
+        0,
+        "word: ACBBACCBA\nn: 3\nN(A>B): 5   P(A>B): 5/9\nN(B>C): 5   P(B>C): 5/9\n"
+        "N(C>A): 5   P(C>A): 5/9\nbalanced: yes  nontransitive: yes  fair: no\n",
+    ),
+    (["analyze", "ACBBACCBA", "--json"], 0, GOLDEN_ANALYZE + "\n"),
+    (["dice2word", DICE], 0, "ACBBACCBA\n"),
+    (["dice2word", DICE, "--json"], 0, '{"word":"ACBBACCBA","n":3}\n'),
+    (["word2dice", "ACBBACCBA"], 0, "A: 9 5 1\nB: 8 4 3\nC: 7 6 2\n"),
+    (["word2dice", "ACBBACCBA", "--json"], 0, DICE + "\n"),
+    (
+        ["concat", "ABCCBA", "ACBBACCBA"],
+        0,
+        "ABCCBAACBBACCBA\ncounts: [13, 13, 13]  (predicted [13, 13, 13])\nP(A>B): 13/25\n",
+    ),
+    (
+        ["concat", "ABCCBA", "ACBBACCBA", "--json"],
+        0,
+        '{"word":"ABCCBAACBBACCBA","n":5,"counts":[13,13,13],'
+        '"predicted_counts":[13,13,13],"p_ab":"13/25"}\n',
+    ),
+    (["irreducible", "ACBBACCBA"], 0, "irreducible\n"),
+    (["irreducible", "ACBBACCBAACBBACCBA"], 0, "reducible: split after 9 letters\n"),
+    (
+        ["irreducible", "ACBBACCBAACBBACCBA", "--json"],
+        0,
+        '{"irreducible":false,"witness_split":9}\n',
+    ),
+    (
+        ["construct", "--n", "7"],
+        0,
+        "ABCCBAABCCBAACBBACCBA\ncounts: [25, 25, 25]  P(A>B): 25/49\nirreducible: yes\n",
+    ),
+    (["construct", "--n", "7", "--json"], 0, GOLDEN_CONSTRUCT_7 + "\n"),
+    (
+        ["near-half", "--m", "3"],
+        0,
+        "ACBCBAABCCBAABCCBABAC\nn: 7  P(A>B): 25/49  excess: 1/98\n",
+    ),
+    (
+        ["near-half", "--m", "3", "--json"],
+        0,
+        '{"m":3,"n":7,"word":"ACBCBAABCCBAABCCBABAC","counts":[25,25,25],'
+        '"p":"25/49","excess":"1/98"}\n',
+    ),
+    (
+        ["optimize", "--n", "8"],
+        0,
+        "n: 8  p: 1  rounds: 0\ntarget excess: 1/16\nachieved counts: [36, 36, 36]\n"
+        "achieved P(A>B): 9/16\ngap: 0\nmoves applied: 0\n",
+    ),
+    (
+        ["optimize", "--n", "8", "--json"],
+        0,
+        "sha256:0ffa0d916ab71769e6b2e6f9b7831a510de19680f51c2f151489b24d61578e96",
+    ),
+    (
+        ["bounds", "--monotone-limit", "100"],
+        0,
+        "sha256:5301b844337e2ea6ee6b1796c7ef897b8a5490b3fce438a1e44ee4bad11cd94f",
+    ),
+    (
+        ["bounds", "--monotone-limit", "100", "--json"],
+        0,
+        "sha256:971601f4ceb373af3e339280a11fe384d3e7c5c9a05f3d3266e3b184bee50f2b",
+    ),
+    (
+        ["enumerate", "--n", "3"],
+        0,
+        "n: 3\ntotal words: 1680\nbalanced: 12\nbalanced non-transitive: 6\nfair: 0\n"
+        "max probability: 5/9\n",
+    ),
+    (
+        ["enumerate", "--n", "3", "--json"],
+        0,
+        "sha256:3ce801367cb37021fa2c504172a5887b7ca34e9f9d49d0e71409777aa9ec9191",
+    ),
+    (
+        ["enumerate", "--n", "2"],
+        0,
+        "n: 2\ntotal words: 90\nbalanced: 6\nbalanced non-transitive: 0\nfair: 6\n"
+        "max probability: None\n",
+    ),
+    (
+        ["scan-max", "--n", "3"],
+        0,
+        "max probability: 5/9\nwitness: ACBBACCBA\nwitness: ACBCBABAC\nwitness: BACACBCBA\n"
+        "witness: BACCBAACB\nwitness: CBAACBBAC\nwitness: CBABACACB\n",
+    ),
+    (
+        ["scan-max", "--n", "3", "--json"],
+        0,
+        '{"n":3,"max_prob":"5/9","witnesses":["ACBBACCBA","ACBCBABAC","BACACBCBA",'
+        '"BACCBAACB","CBAACBBAC","CBABACACB"]}\n',
+    ),
+    (["scan-max", "--n", "2"], 0, "no balanced non-transitive word exists\n"),
+    (["scan-max", "--n", "2", "--json"], 0, '{"n":2,"max_prob":null,"witnesses":[]}\n'),
+    (
+        ["verify-fair", "--n", "2"],
+        0,
+        "sha256:97f887b2d89c8867d0257557a41e6398a0c2a1533a643dc458f5360e3973a8a7",
+    ),
+    (
+        ["verify-fair", "--n", "2", "--json"],
+        0,
+        "sha256:1eb06863adb57bf47e75da2935b2606759f4e88747807428a088c96a8017a68d",
+    ),
+    (
+        ["similar", "AABBCCCCBBAA", "ABCCBAABCCBA"],
+        0,
+        "outcome: found (explored 92 words)\nmoves: 6\n",
+    ),
+    (
+        ["similar", "AABBCCCCBBAA", "ABCCBAABCCBA", "--json"],
+        0,
+        "sha256:dddedd892c649d8f4a3bb9d60dd1d928b2a0f9b75ffa5bc2f9a052b7009ddacd",
+    ),
+    (["similar", "ACBBACCBA", "CBABACACB"], 0, "outcome: not-similar (explored 3 words)\n"),
+    (["normalize2", "AABBBBAA"], 0, "normal form: ABBAABBA\nmoves: 2\n"),
+    (
+        ["normalize2", "AABBBBAA", "--json"],
+        0,
+        '{"start":"AABBBBAA","moves":[{"kind":"pair-exchange","i":2,"j":6},'
+        '{"kind":"pair-exchange","i":3,"j":5}],"end":"ABBAABBA"}\n',
+    ),
+    (["analyze", "ABCA", "--json"], 1, ""),
+    (["optimize", "--n", "5"], 1, ""),
+    (["verify-fair", "--n", "6", "--json"], 1, ""),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,expected", GOLDEN, ids=[" ".join(row[0]) for row in GOLDEN]
+)
+def test_golden_stdout_and_exit_code(argv, code, expected):
+    got_code, out, err = run_cli(argv)
+    assert got_code == code
+    if expected.startswith("sha256:"):
+        out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+    assert out == expected
+    assert err.startswith("error: ") if code else err == ""
+
+
+def test_golden_table_covers_every_subcommand_in_both_modes():
+    modes = {(argv[0], "--json" in argv) for argv, code, _ in GOLDEN if code == 0}
+    assert modes == {(command, mode) for command in COMMAND_OPERATIONS for mode in (False, True)}
 
 
 class TestGoldenOutputs:
@@ -132,6 +287,30 @@ class TestCommandsRun:
             assert a - lo * c >= 0 and d <= (a - lo * c) ** 2, key
             # value <= hi  <=>  sqrt(d) >= a - hi*c
             assert a - hi * c <= 0 or d >= (a - hi * c) ** 2, key
+
+    @pytest.mark.parametrize("dice_json", ["notjson", '{"n":3,', ""])
+    def test_dice2word_reports_malformed_json(self, dice_json):
+        for mode in ([], ["--json"]):
+            code, out, err = run_cli(["dice2word", dice_json, *mode])
+            assert code == 1
+            assert out == ""
+            assert err.startswith("error: malformed dice-set JSON: ")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["bounds", "--monotone-limit", "-5"], "monotone limit must be >= 0, got -5"),
+            (["verify-fair", "--n", "4", "--budget", "0"], "search budget must be at least 1, got 0"),
+            (
+                ["similar", "AABBCCCCBBAA", "ABCCBAABCCBA", "--budget", "-1"],
+                "search budget must be at least 1, got -1",
+            ),
+        ],
+    )
+    def test_bad_bounds_and_budgets_exit_one(self, argv, message):
+        for mode in ([], ["--json"]):
+            assert run_cli(argv + mode) == (1, "", f"error: {message}\n")
 
     def test_roundtrip_through_json_outputs(self):
         _, out, _ = run_cli(["word2dice", "ACBBACCBA", "--json"])

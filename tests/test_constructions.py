@@ -148,6 +148,25 @@ class TestMaxShiftRounds:
             s = math.isqrt(153 * p * p)
             assert max_shift_rounds(6 * p) == (13 * p - s - 1) // 2
 
+    @pytest.mark.parametrize("residue", [0, 2, 4])
+    def test_result_is_the_last_admissible_round_count(self, residue):
+        # independent of any root formula: evaluate the residue's polynomial
+        # at m and m + 1 (m = 0 also when even one round is infeasible)
+        for p in list(range(1, 400)) + [10**5 + 7, 10**6]:
+            n = 6 * p + residue
+            lin, const = {
+                0: (13 * p, 4 * p * p),
+                2: (13 * p + 4, 4 * p * p - p - 1),
+                4: (13 * p + 8, 4 * p * p - 2 * p - 4),
+            }[residue]
+            m = max_shift_rounds(n)
+            assert 0 <= m <= 2 * p
+            if const < 0:
+                assert m == 0
+                continue
+            assert m * m - lin * m + const >= 0, n
+            assert m == 2 * p or (m + 1) ** 2 - lin * (m + 1) + const < 0, n
+
 
 class TestOptimizer:
     @pytest.mark.parametrize("n,prob", [(6, Fraction(7, 12)), (8, Fraction(9, 16)), (12, Fraction(7, 12))])
@@ -219,6 +238,12 @@ class TestBounds:
         }
         assert report.monotone_certified_upto == 1000
         assert any("153" in note for note in report.errata)
+
+    def test_negative_monotone_limit_rejected(self):
+        assert bound_report(monotone_limit=0).monotone_certified_upto == 0
+        for limit in (-1, -5):
+            with pytest.raises(DomainError, match="monotone limit"):
+                bound_report(monotone_limit=limit)
 
     def test_enclosures_match_known_digits(self):
         lo, hi = LIMIT_EXCESS.enclosure()

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed
 
 from ntdice import (
     DiceSet,
@@ -18,7 +19,15 @@ from ntdice import (
     word_from_dice,
 )
 
-from conftest import brute_counts, brute_reverse_counts, random_complete_word
+from conftest import (
+    PROPERTY,
+    brute_counts,
+    brute_reverse_counts,
+    complete_words,
+    random_complete_word,
+)
+
+RELABEL = str.maketrans("ABC", "BCA")
 
 
 class TestParseWord:
@@ -197,3 +206,20 @@ class TestClassify:
     def test_empty_word_rejected(self):
         with pytest.raises(DomainError):
             classify("")
+
+
+class TestCountingProperties:
+    @seed(20203)
+    @PROPERTY
+    @given(complete_words(10))
+    def test_pair_counts_match_all_pairs_oracle(self, word):
+        assert pair_counts(word).as_tuple() == brute_counts(word)
+
+    @seed(20204)
+    @PROPERTY
+    @given(complete_words(10))
+    def test_cyclic_relabel_rotates_counts(self, word):
+        # A -> B -> C -> A turns N(C>A) into N(A>B), N(A>B) into N(B>C)
+        # and N(B>C) into N(C>A)
+        ab, bc, ca = pair_counts(word).as_tuple()
+        assert pair_counts(word.translate(RELABEL)).as_tuple() == (ca, ab, bc)

@@ -309,6 +309,13 @@ class TestFairConjecture:
         with pytest.raises(DomainError):
             verify_fair_conjecture(6)
 
+    def test_budget_below_one_rejected(self):
+        assert verify_fair_conjecture(2, bfs_budget=1).fair_words_found == 6
+        for n in (3, 4):
+            for budget in (0, -1):
+                with pytest.raises(DomainError, match="budget"):
+                    verify_fair_conjecture(n, bfs_budget=budget)
+
     def test_budget_exhaustion_reported_as_unresolved(self):
         report = verify_fair_conjecture(4, bfs_budget=10)
         assert report.unresolved_same_perm > 0

@@ -248,6 +248,17 @@ class TestSimilar:
         assert result.outcome == OUTCOME_BUDGET_EXCEEDED
         assert result.path is None
 
+    def test_budget_below_one_rejected(self):
+        assert similar("AABBCCCCBBAA", "ABCCBAABCCBA", budget=1).explored >= 1
+        assert similarity_class(["CBABACACB"], budget=1)[1] is False
+        for budget in (0, -1):
+            with pytest.raises(DomainError, match="budget"):
+                similar("AABBCCCCBBAA", "ABCCBAABCCBA", budget=budget)
+            with pytest.raises(DomainError, match="budget"):
+                similar("ACBBACCBA", "ACBBACCBA", budget=budget)
+            with pytest.raises(DomainError, match="budget"):
+                similarity_class(["CBABACACB"], budget=budget)
+
     def test_proved_negative_is_distinct(self):
         # The two 3-sided orbits carry identical counts (5,5,5) yet admit
         # no connecting move: each is a pure rotation orbit with no valid
