@@ -18,6 +18,7 @@ roots appearing in the closed-form limits are handled symbolically as
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -27,8 +28,8 @@ from .rewriting import (
     MovePath,
     PairExchange,
     TripleShift,
+    _shift_sites,
     apply_move,
-    find_shift_sites,
 )
 
 # Base vocabulary.  FAIR_BLOCK is the unique (up to relabeling) fair
@@ -241,17 +242,11 @@ def _paired_cb_flip(
     """Reverse the CB window at 0-based left cell, paired with the nearest
     disjoint BC window (ties to the smaller index).  Returns False when no
     complementary window exists."""
-    best = None
-    for c in range(len(w) - 1):
-        if abs(c - left) < 2:
-            continue
-        if w[c] == "B" and w[c + 1] == "C":
-            dist = abs(c - left)
-            if best is None or dist < best[0]:
-                best = (dist, c)
-    if best is None:
+    word = "".join(w)
+    near = [c for c in (word.rfind("BC", 0, left), word.find("BC", left + 2)) if c >= 0]
+    if not near:
         return False
-    comp = best[1]
+    comp = min(near, key=lambda c: (abs(c - left), c))
     w[left], w[left + 1] = "B", "C"
     w[comp], w[comp + 1] = "C", "B"
     lo, hi = sorted((left + 1, comp + 1))
@@ -261,44 +256,20 @@ def _paired_cb_flip(
 
 def _manufacture_ab(w: list[str], moves: list[PairExchange]) -> bool:
     """Bubble the leftmost B separated from an A only by Cs over to it."""
-    target = None
-    for b in range(len(w)):
-        if w[b] != "B":
-            continue
-        back = b - 1
-        while back >= 0 and w[back] == "C":
-            back -= 1
-        if back >= 0 and back < b - 1 and w[back] == "A":
-            target = (back, b)
-            break
-    if target is None:
+    found = re.search("AC+B", "".join(w))
+    if found is None:
         return False
-    a, b = target
-    for cur in range(b, a + 1, -1):
-        if not _paired_cb_flip(w, cur - 1, moves):
-            return False
-    return True
+    a, b = found.start(), found.end() - 1
+    return all(_paired_cb_flip(w, cur - 1, moves) for cur in range(b, a + 1, -1))
 
 
 def _manufacture_ca(w: list[str], moves: list[PairExchange]) -> bool:
     """Bubble the rightmost C separated from an A only by Bs over to it."""
-    target = None
-    for c in range(len(w) - 1, -1, -1):
-        if w[c] != "C":
-            continue
-        fwd = c + 1
-        while fwd < len(w) and w[fwd] == "B":
-            fwd += 1
-        if fwd < len(w) and fwd > c + 1 and w[fwd] == "A":
-            target = (c, fwd)
-            break
-    if target is None:
+    found = list(re.finditer("CB+A", "".join(w)))
+    if not found:
         return False
-    c, fwd = target
-    for cur in range(c, fwd - 1):
-        if not _paired_cb_flip(w, cur, moves):
-            return False
-    return True
+    c, fwd = found[-1].start(), found[-1].end() - 1
+    return all(_paired_cb_flip(w, cur, moves) for cur in range(c, fwd - 1))
 
 
 def optimize_max_prob(n: int) -> OptimizerReport:
@@ -326,9 +297,8 @@ def optimize_max_prob(n: int) -> OptimizerReport:
     stalls_left = 4 * rounds + 8
     while applied < needed:
         word = "".join(w)
-        sites = find_shift_sites(word)
-        if sites:
-            move = sites[0]
+        move = next(_shift_sites(word), None)
+        if move is not None:
             w = list(apply_move(word, move))
             moves.append(move)
             applied += 1

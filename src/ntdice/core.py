@@ -89,6 +89,11 @@ def parse_word(text: str) -> DiceWord:
     return DiceWord(text=text, counts=counts, complete=complete)
 
 
+# JSON names of the Python types json.loads returns, for error messages.
+_JSON_TYPES = {list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
+
+
 @dataclass(frozen=True)
 class DiceSet:
     """Three pairwise-disjoint n-element label sets covering 1..3n."""
@@ -111,7 +116,12 @@ class DiceSet:
         """Parse {"n": int, "A": [ints], "B": [ints], "C": [ints]} strictly:
         exact ints only (no bools, floats or strings) and n distinct labels
         per die.  Range and disjointness are checked by word_from_dice."""
-        if not isinstance(obj, dict) or type(obj.get("n")) is not int:
+        if not isinstance(obj, dict):
+            raise DiceSetError(
+                f"malformed dice-set object: the input must be a JSON object, "
+                f"got {_JSON_TYPES.get(type(obj), type(obj).__name__)}"
+            )
+        if type(obj.get("n")) is not int:
             raise DiceSetError("malformed dice-set object: n must be an int")
         n = obj["n"]
         dice = []

@@ -77,16 +77,27 @@ def move_to_json(move: Move) -> dict:
     raise TypeError(f"not a move: {move!r}")
 
 
+def _field(obj: dict, name: str, kind: type) -> int | str:
+    """obj[name], which must be exactly of type kind (a bool is no int)."""
+    value = obj.get(name)
+    if type(value) is not kind:
+        raise MoveError(f"field {name!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def move_from_json(obj: dict) -> Move:
+    if not isinstance(obj, dict):
+        raise MoveError(f"a move must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     if kind == "pair-exchange":
-        return PairExchange(i=int(obj["i"]), j=int(obj["j"]))
+        return PairExchange(i=_field(obj, "i", int), j=_field(obj, "j", int))
     if kind == "rotate-front-to-back":
         return TripleRotate(to_back=True)
     if kind == "rotate-back-to-front":
         return TripleRotate(to_back=False)
     if kind == "triple-shift":
-        return TripleShift(i=int(obj["i"]), j=int(obj["j"]), k=int(obj["k"]))
+        i, j, k = (_field(obj, name, int) for name in "ijk")
+        return TripleShift(i=i, j=j, k=k)
     raise MoveError(f"unknown move kind {kind!r}")
 
 
@@ -124,10 +135,12 @@ class MovePath:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MovePath":
+        if not isinstance(obj, dict) or not isinstance(obj.get("moves"), list):
+            raise MoveError("a move path must be a JSON object with a moves list")
         return cls(
-            start=str(obj["start"]),
+            start=_field(obj, "start", str),
             moves=tuple(move_from_json(m) for m in obj["moves"]),
-            end=str(obj["end"]),
+            end=_field(obj, "end", str),
         )
 
 
@@ -186,30 +199,35 @@ def apply_move(word: str, move: Move, require_completeness: bool = True) -> str:
     raise TypeError(f"not a move: {move!r}")
 
 
-def find_shift_sites(word: str) -> list[TripleShift]:
-    """All pairwise-disjoint AB/BC/CA window triples, leftmost-first."""
-    require_complete(word)
-    ab_at: list[int] = []
-    bc_at: list[int] = []
-    ca_at: list[int] = []
-    for i in range(1, len(word)):
-        pair = word[i - 1 : i + 1]
-        if pair == "AB":
-            ab_at.append(i)
-        elif pair == "BC":
-            bc_at.append(i)
-        elif pair == "CA":
-            ca_at.append(i)
-    sites = []
-    for i in ab_at:
+def _windows(word: str, pattern: str) -> Iterator[int]:
+    """1-based left cells of every window reading the two-letter pattern."""
+    at = word.find(pattern)
+    while at >= 0:
+        yield at + 1
+        at = word.find(pattern, at + 1)
+
+
+def _shift_sites(word: str) -> Iterator[TripleShift]:
+    """Pairwise-disjoint AB/BC/CA window triples, yielded lazily in
+    lexicographic (i, j, k) order, so taking the first site costs three
+    str.find scans rather than a listing of every triple."""
+    bc_at = list(_windows(word, "BC"))
+    ca_at = list(_windows(word, "CA"))
+    for i in _windows(word, "AB"):
         for j in bc_at:
             if abs(i - j) < 2:
                 continue
             for k in ca_at:
                 if abs(i - k) < 2 or abs(j - k) < 2:
                     continue
-                sites.append(TripleShift(i=i, j=j, k=k))
-    return sites
+                yield TripleShift(i=i, j=j, k=k)
+
+
+def find_shift_sites(word: str) -> list[TripleShift]:
+    """All pairwise-disjoint AB/BC/CA window triples, leftmost-first: the
+    whole of the lazy ``_shift_sites`` walk, listed."""
+    require_complete(word)
+    return list(_shift_sites(word))
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,20 @@ class TestCommandsRun:
             # value <= hi  <=>  sqrt(d) >= a - hi*c
             assert a - hi * c <= 0 or d >= (a - hi * c) ** 2, key
 
+    @pytest.mark.parametrize(
+        "dice_json,kind",
+        [("[]", "array"), ("3", "number"), ('"n"', "string"), ("null", "null")],
+    )
+    def test_dice2word_names_a_non_object_input(self, dice_json, kind):
+        for mode in ([], ["--json"]):
+            code, out, err = run_cli(["dice2word", dice_json, *mode])
+            assert code == 1
+            assert out == ""
+            assert err == (
+                "error: malformed dice-set object: the input must be a JSON "
+                f"object, got {kind}\n"
+            )
+
     @pytest.mark.parametrize("dice_json", ["notjson", '{"n":3,', ""])
     def test_dice2word_reports_malformed_json(self, dice_json):
         for mode in ([], ["--json"]):

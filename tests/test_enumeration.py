@@ -226,6 +226,13 @@ class TestKnownCensusValues:
         assert stats.count_balanced_nontransitive == 189_783
         assert stats.histogram[prob] == 24
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_histogram_reversal_symmetry(self, n):
+        # reversing a word turns every win count v into n^2 - v
+        hist = enumerate_words(n, long_run=n == 7).histogram
+        assert {1 - p: c for p, c in hist.items()} == hist
+        assert (n < 2) == (not hist)
+
 
 class TestFilters:
     def test_counts_filter(self):

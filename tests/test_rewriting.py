@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, seed
 
 from ntdice import (
     DomainError,
@@ -29,7 +30,7 @@ from ntdice.rewriting import (
     two_letter_wins,
 )
 
-from conftest import random_complete_word
+from conftest import PROPERTY, complete_words, random_complete_word
 
 
 def _valid_exchanges(word):
@@ -101,6 +102,20 @@ class TestFindShiftSites:
             sites = find_shift_sites(word)
             keyed = [(s.i, s.j, s.k) for s in sites]
             assert keyed == sorted(keyed)
+
+    @seed(20204)
+    @PROPERTY
+    @given(complete_words(6))
+    def test_matches_brute_force_property(self, word):
+        cells = range(1, len(word))
+        brute = [
+            TripleShift(i, j, k)
+            for i, j, k in itertools.product(cells, repeat=3)
+            if (word[i - 1 : i + 1], word[j - 1 : j + 1], word[k - 1 : k + 1])
+            == ("AB", "BC", "CA")
+            and min(abs(i - j), abs(i - k), abs(j - k)) >= 2
+        ]
+        assert find_shift_sites(word) == brute
 
 
 class TestMoveInvariance:
@@ -222,6 +237,36 @@ class TestMovePathSerialization:
             TripleShift(1, 3, 5),
         ):
             assert move_from_json(move_to_json(move)) == move
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"kind": "triple-shift", "i": 1.9, "j": True, "k": "5"},
+            {"kind": "triple-shift", "i": 1, "j": 3, "k": 5.0},
+            {"kind": "triple-shift", "i": 1, "j": 3, "k": False},
+            {"kind": "triple-shift", "j": 3, "k": 5},
+            {"kind": "pair-exchange", "i": 2},
+            {"kind": "pair-exchange", "i": "2", "j": 9},
+            {"kind": "pair-exchange", "i": 2, "j": None},
+            ["pair-exchange", 2, 9],
+        ],
+    )
+    def test_malformed_move_rejected(self, obj):
+        with pytest.raises(MoveError):
+            move_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("start", 5), ("start", None), ("end", ["A"]), ("moves", "x"), ("moves", None)],
+    )
+    def test_malformed_path_rejected(self, field, value):
+        obj = similar("AABBCCCCBBAA", "ABCCBAABCCBA").path.to_json()
+        obj[field] = value
+        with pytest.raises(MoveError):
+            MovePath.from_json(obj)
+        del obj[field]
+        with pytest.raises(MoveError):
+            MovePath.from_json(obj)
 
 
 class TestSimilar:
