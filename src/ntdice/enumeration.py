@@ -9,8 +9,9 @@ passes:
   right and keeps, for each count of letters placed so far, the
   multiplicity of every reachable triple of running win counts.  Words
   that share both collapse into one state, and a state is dropped as soon
-  as the three counts can no longer meet, so n = 7 (399,072,960 words)
-  takes well under a second;
+  as the three counts can no longer meet.  The relabel A->B->C->A maps
+  states and pruning onto themselves, so a layer builds one letter tally
+  per orbit of it, and n = 7 (399,072,960 words) takes under 0.1 s;
 * words themselves come from a depth-first walk in lexicographic order
   that cuts every prefix no completion of which passes the filter and
   remembers the states so cut.  It lists the witnesses of the maximum
@@ -22,6 +23,7 @@ count a caller passes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -65,6 +67,11 @@ class EnumFilter:
     fair: bool = False
     counts: tuple[int, int, int] | None = None
 
+    def __post_init__(self) -> None:
+        if (c := self.counts) is not None and not (
+                type(c) is tuple and len(c) == 3 and all(type(v) is int for v in c)):
+            raise DomainError(f"counts must be a tuple of three ints, got {c!r}")
+
     def matches(self, verdict: Verdict) -> bool:
         if self.balanced and not verdict.balanced:
             return False
@@ -96,7 +103,13 @@ def total_word_count(n: int) -> int:
     return math.factorial(3 * n) // math.factorial(n) ** 3
 
 
+def _require_int(n: int) -> None:
+    if type(n) is not int:
+        raise DomainError(f"n must be an int, got {n!r}")
+
+
 def _check_sides(n: int, long_run: bool) -> None:
+    _require_int(n)
     if not 1 <= n <= MAX_SIDES:
         raise DomainError(f"enumeration supports 1 <= n <= {MAX_SIDES}, got {n}")
     if n >= LONG_RUN_SIDES and not long_run:
@@ -158,33 +171,56 @@ def _pruner(n: int, filt: EnumFilter) -> Callable[[Placed, Counts], bool] | None
         lo_ab, hi_ab = ab + ra * pb, ab + ra * n
         lo_bc, hi_bc = bc + rb * pc, bc + rb * n
         lo_ca, hi_ca = ca + rc * pa, ca + rc * n
-        if balanced:
-            return max(lo_ab, lo_bc, lo_ca, low) <= min(hi_ab, hi_bc, hi_ca, high)
+        if balanced:  # max(lows) <= min(highs), spelt out: max() and min() cost more
+            top = hi_ab if hi_ab < hi_bc else hi_bc
+            top = hi_ca if hi_ca < top else top
+            top = high if high < top else top
+            return lo_ab <= top and lo_bc <= top and lo_ca <= top and low <= top
         return (lo_ab <= ha and la <= hi_ab and lo_bc <= hb and lb <= hi_bc
                 and lo_ca <= hc and lc <= hi_ca)
 
     return alive
 
 
+def _orbit_rep(placed: Placed) -> tuple[Placed, int]:
+    """The largest rotation rho^j(placed) of a tally, and j."""
+    pa, pb, pc = placed
+    return max(((pa, pb, pc), 0), ((pc, pa, pb), 1), ((pb, pc, pa), 2))
+
+
 def _balanced_histogram(n: int) -> dict[int, int]:
     """Balanced words keyed by their common count, by the layered count DP.
 
-    Layer k maps each letter tally of a k-letter prefix to a dict from
-    running counts to the number of prefixes reaching them.  A state is
+    Layer k maps letter tallies P of k-letter prefixes to dicts M[P] from
+    running counts X to the number of prefixes reaching them; a state is
     kept only while its three reachable final counts can still meet, so
-    every state that survives to (n, n, n) is balanced."""
+    every state that survives to (n, n, n) is balanced.  The relabel
+    rho: A->B->C->A maps the prefixes at (P, X) one to one onto those at
+    rho P = (pc, pa, pb), rho X = (ca, ab, bc), and only permutes the
+    pruner's three intervals, which share one range, so M[rho P][rho X] =
+    M[P][X].  A layer thus holds one tally per orbit, its largest rotation,
+    pulled from the tallies one letter shorter (a last A adds pb to ab, a B
+    pc to bc, a C pa to ca), each read from its orbit's held tally with the
+    keys rotated back as they are translated.  (p, p, p) is its own orbit."""
     alive = _pruner(n, EnumFilter(balanced=True))
     layer: dict[Placed, dict[Counts, int]] = {(0, 0, 0): {(0, 0, 0): 1}}
-    for _ in range(3 * n):
+    for k in range(1, 3 * n + 1):
         nxt: dict[Placed, dict[Counts, int]] = {}
-        for placed, states in layer.items():
-            for counts, mult in states.items():
-                for _letter, placed2, counts2 in _steps(n, placed, counts):
-                    bucket = nxt.setdefault(placed2, {})
-                    if counts2 in bucket:
-                        bucket[counts2] += mult
-                    elif alive(placed2, counts2):
-                        bucket[counts2] = mult
+        for placed in {_orbit_rep((pa, pb, k - pa - pb))[0]
+                       for pa in range(n + 1)
+                       for pb in range(max(0, k - pa - n), min(n, k - pa) + 1)}:
+            bucket: dict[Counts, int] = {}
+            for i in range(3):  # the last letter; a negative tally is never held
+                rep, j = _orbit_rep(tuple(p - (s == i) for s, p in enumerate(placed)))
+                x, y, z = j, (j + 1) % 3, (j + 2) % 3  # rep's slots, in order
+                dx, dy, dz = (placed[(i + 1) % 3] * (s == i) for s in range(3))
+                for key, mult in layer.get(rep, {}).items():
+                    counts = (key[x] + dx, key[y] + dy, key[z] + dz)
+                    if counts in bucket:
+                        bucket[counts] += mult
+                    elif alive(placed, counts):
+                        bucket[counts] = mult
+            nxt[placed] = bucket
         layer = nxt
     return {counts[0]: mult for counts, mult in layer.get((n, n, n), {}).items()}
 
@@ -292,6 +328,7 @@ def max_probability(
     Returns (probability, up to 10 lexicographically-first witnesses), or
     None when no balanced non-transitive word exists at this n.
     """
+    _require_int(n)
     if n < 2:
         raise DomainError(f"maximum-probability scan needs n >= 2, got {n}")
     stats = enumerate_words(n, workers=workers, long_run=long_run)
@@ -343,6 +380,7 @@ def verify_fair_conjecture(
     must satisfy n <= 4, where the reachable set of the canonical products
     stays exhaustively searchable.
     """
+    _require_int(n)
     if not 1 <= n <= MAX_SIDES:
         raise DomainError(f"supported range is 1 <= n <= {MAX_SIDES}, got {n}")
     if bfs_budget < 1:
@@ -364,26 +402,13 @@ def verify_fair_conjecture(
             f"similarity verification is exhaustive only up to n=4, got {n}"
         )
 
-    fair_words: list[str] = []
-    enumerate_words(
-        n,
-        filt=EnumFilter(fair=True),
-        consumer=lambda word, verdict: fair_words.append(word),
-    )
-    fair_set = frozenset(fair_words)
+    fair_set: set[str] = set()
+    _walk(n, EnumFilter(fair=True), lambda word, _counts: fair_set.add(word))
 
     blocks = _canonical_blocks()
     same_seeds = {block * (n // 2) for block in blocks}
 
-    def products(k: int) -> Iterator[str]:
-        if k == 0:
-            yield ""
-            return
-        for rest in products(k - 1):
-            for block in blocks:
-                yield block + rest
-
-    mixed_seeds = set(products(n // 2))
+    mixed_seeds = {"".join(p) for p in itertools.product(blocks, repeat=n // 2)}
 
     class_same, same_done = similarity_class(same_seeds, bfs_budget)
     class_mixed, mixed_done = similarity_class(mixed_seeds, bfs_budget)

@@ -22,6 +22,9 @@ from ntdice.enumeration import (
     WITNESS_CAP,
     CacheFormatError,
     CacheIntegrityError,
+    _balanced_histogram,
+    _pruner,
+    _steps,
     total_word_count,
 )
 
@@ -106,6 +109,14 @@ class TestGeneration:
         with pytest.raises(DomainError, match="long_run"):
             enumerate_words(7)
 
+    @pytest.mark.parametrize("n", [True, False, 3.0, "3", None])
+    @pytest.mark.parametrize(
+        "call", [enumerate_words, max_probability, verify_fair_conjecture]
+    )
+    def test_sides_must_be_an_int(self, call, n):
+        with pytest.raises(DomainError, match="n must be an int"):
+            call(n)
+
 
 class _Census:
     """Totals, histogram and witnesses of the maximum, rebuilt from the
@@ -166,6 +177,60 @@ def test_pruned_stream_is_exact(n, balanced, nontransitive, fair):
         got = []
         enumerate_words(n, filt=filt, consumer=lambda w, v: got.append((w, v)))
         assert got == [(w, v) for w, v in classified if filt.matches(v)]
+
+
+def reference_balanced_histogram(n):
+    """The layered count DP as it was before the orbit reduction: every
+    letter tally of every layer, pushed forward letter by letter, with the
+    balanced interval test written out by max() and min()."""
+
+    def meet(placed, counts):
+        (pa, pb, pc), (ab, bc, ca) = placed, counts
+        ra, rb, rc = n - pa, n - pb, n - pc
+        lows = (ab + ra * pb, bc + rb * pc, ca + rc * pa, 0)
+        return max(lows) <= min(ab + ra * n, bc + rb * n, ca + rc * n, n * n)
+
+    layer = {(0, 0, 0): {(0, 0, 0): 1}}
+    for _ in range(3 * n):
+        nxt = {}
+        for placed, states in layer.items():
+            for counts, mult in states.items():
+                for _letter, placed2, counts2 in _steps(n, placed, counts):
+                    bucket = nxt.setdefault(placed2, {})
+                    if counts2 in bucket:
+                        bucket[counts2] += mult
+                    elif meet(placed2, counts2):
+                        bucket[counts2] = mult
+        layer = nxt
+    return {counts[0]: mult for counts, mult in layer.get((n, n, n), {}).items()}
+
+
+def _rho(triple):
+    """The relabel A->B->C->A on a tally (pa, pb, pc) or on counts (ab, bc, ca)."""
+    x, y, z = triple
+    return z, x, y
+
+
+class TestOrbitDP:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_reference(self, n):
+        assert _balanced_histogram(n) == reference_balanced_histogram(n)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize(
+        "filt", [EnumFilter(balanced=True), EnumFilter(balanced=True, nontransitive=True)]
+    )
+    def test_balanced_pruner_commutes_with_relabel(self, n, filt):
+        alive = _pruner(n, filt)
+        layer = {((0, 0, 0), (0, 0, 0))}
+        verdicts = set()
+        for _ in range(3 * n):
+            layer = {(p2, c2) for p, c in layer for _, p2, c2 in _steps(n, p, c)}
+            for placed, counts in layer:
+                verdict = alive(placed, counts)
+                assert alive(_rho(placed), _rho(counts)) == verdict, (placed, counts)
+                verdicts.add(verdict)
+        assert verdicts == {True, False} or n < 3
 
 
 class TestKnownCensusValues:
@@ -235,6 +300,14 @@ class TestKnownCensusValues:
 
 
 class TestFilters:
+    @pytest.mark.parametrize(
+        "counts",
+        [(1, 2), (1, 2, 3, 4), ("a", 1, 1), (True, 1, 1), (5.0, 5, 5), [5, 5, 5], 5],
+    )
+    def test_malformed_counts_rejected(self, counts):
+        with pytest.raises(DomainError, match="counts must be a tuple of three ints"):
+            EnumFilter(counts=counts)
+
     def test_counts_filter(self):
         got = []
         enumerate_words(
@@ -311,6 +384,15 @@ class TestFairConjecture:
         assert report.reachable_mixed_perm == 6
         assert report.unresolved_same_perm == 0
         assert report.unresolved_mixed_perm == 0
+
+    def test_fair_census_builds_no_statistics(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the fair census built the statistics")
+
+        reports = [verify_fair_conjecture(n) for n in (2, 4)]
+        monkeypatch.setattr("ntdice.enumeration._balanced_histogram", refuse)
+        monkeypatch.setattr("ntdice.enumeration._witnesses", refuse)
+        assert [verify_fair_conjecture(n) for n in (2, 4)] == reports
 
     def test_even_n_above_four_rejected(self):
         with pytest.raises(DomainError):
