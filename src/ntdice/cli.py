@@ -6,6 +6,16 @@ without printing, the public operations it exercises, and its argparse
 arguments.  ``main`` prints the payload with --json (stable field names,
 exact rationals as "num/den" strings) and the text lines otherwise.  Exit
 codes: 0 on success, 1 on domain errors, 2 on usage errors.
+
+This module imports only ``ntdice.core`` itself; each ``run`` function
+reaches its operations through the lazy package namespace
+(``ntdice.classify``), so a process loads only the modules its subcommand
+runs: ``analyze``, ``dice2word`` and ``word2dice`` load ``core`` alone,
+``concat`` and ``irreducible`` add ``algebra``, ``similar`` and
+``normalize2`` add ``rewriting``, ``near-half``, ``optimize`` and ``bounds``
+add ``rewriting`` and ``constructions`` (``construct`` also ``algebra``),
+``enumerate`` and ``scan-max`` add ``enumeration``, and ``verify-fair`` adds
+``enumeration`` and ``rewriting``.
 """
 
 from __future__ import annotations
@@ -18,40 +28,16 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from . import (
-    DiceError,
-    DiceSet,
-    DiceSetError,
-    classify,
-    combined_probability,
-    concat,
-    construct_irreducible,
-    construct_near_half,
-    dice_from_word,
-    is_irreducible,
-    normalize_two_letter_fair,
-    optimize_max_prob,
-    pair_counts,
-    predict_counts,
-    similar,
-    word_from_dice,
-)
-from .constructions import bound_report
-from .enumeration import (
-    cache_stats,
-    enumerate_words,
-    load_stats,
-    max_probability,
-    stats_to_json,
-    verify_fair_conjecture,
-)
+import ntdice
+
+from .core import DiceError, DiceSet, DiceSetError
 
 CACHE_DIR_ENV = "NTDICE_CACHE_DIR"
 
 
 def _analyze(args):
     """classify a word (counts, probabilities, flags)"""
-    verdict = classify(args.word)
+    verdict = ntdice.classify(args.word)
     counts = verdict.counts
     flags = ("balanced", "nontransitive", "fair")
     payload = {
@@ -78,27 +64,27 @@ def _dice2word(args):
     except json.JSONDecodeError as exc:
         raise DiceSetError(f"malformed dice-set JSON: {exc}") from None
     dice = DiceSet.from_json(obj)
-    word = word_from_dice(dice)
+    word = ntdice.word_from_dice(dice)
     return {"word": word, "n": dice.n}, [word]
 
 
 def _word2dice(args):
     """convert a complete word to its dice sets"""
-    payload = dice_from_word(args.word).to_json()
+    payload = ntdice.dice_from_word(args.word).to_json()
     lines = [f"{name}: {' '.join(map(str, reversed(payload[name])))}" for name in "ABC"]
     return payload, lines
 
 
 def _concat(args):
     """concatenate two complete words"""
-    word = concat(args.word1, args.word2)
-    left, right, actual = map(pair_counts, (args.word1, args.word2, word))
-    p_ab = combined_probability(left.n, left.ab, right.n, right.ab)
+    word = ntdice.concat(args.word1, args.word2)
+    left, right, actual = map(ntdice.pair_counts, (args.word1, args.word2, word))
+    p_ab = ntdice.combined_probability(left.n, left.ab, right.n, right.ab)
     payload = {
         "word": word,
         "n": actual.n,
         "counts": list(actual.as_tuple()),
-        "predicted_counts": list(predict_counts(left, right).predicted.as_tuple()),
+        "predicted_counts": list(ntdice.predict_counts(left, right).predicted.as_tuple()),
         "p_ab": str(p_ab),
     }
     lines = [
@@ -111,16 +97,16 @@ def _concat(args):
 
 def _irreducible(args):
     """binary-split irreducibility check"""
-    report = is_irreducible(args.word)
+    report = ntdice.is_irreducible(args.word)
     line = f"reducible: split after {report.witness_split} letters"
     return dataclasses.asdict(report), ["irreducible" if report.irreducible else line]
 
 
 def _construct(args):
     """irreducible balanced non-transitive word, n >= 3"""
-    word = construct_irreducible(args.n)
-    verdict = classify(word)
-    irreducible = is_irreducible(word).irreducible
+    word = ntdice.construct_irreducible(args.n)
+    verdict = ntdice.classify(word)
+    irreducible = ntdice.is_irreducible(word).irreducible
     payload = {
         "n": args.n,
         "word": word,
@@ -138,8 +124,8 @@ def _construct(args):
 
 def _near_half(args):
     """family with probability 1/2 + 1/(2n^2)"""
-    word = construct_near_half(args.m)
-    verdict = classify(word)
+    word = ntdice.construct_near_half(args.m)
+    verdict = ntdice.classify(word)
     excess = verdict.p_ab - Fraction(1, 2)
     payload = {
         "m": args.m,
@@ -155,7 +141,7 @@ def _near_half(args):
 
 def _optimize(args):
     """drive the block family to its maximum probability"""
-    report = optimize_max_prob(args.n)
+    report = ntdice.optimize_max_prob(args.n)
     payload = report.to_json()
     lines = [
         f"n: {report.n}  p: {report.p}  rounds: {report.rounds}",
@@ -170,7 +156,7 @@ def _optimize(args):
 
 def _bounds(args):
     """exact limit constants and comparisons against 1/9"""
-    report = bound_report(monotone_limit=args.monotone_limit)
+    report = ntdice.bound_report(monotone_limit=args.monotone_limit)
     lines = [f"excess bound: {report.bound}"]
     for name, surd in (
         ("limit excess", report.limit_excess),
@@ -191,7 +177,9 @@ def _bounds(args):
 
 def _enumerate(args):
     """exhaustive scan of all words at fixed n"""
-    stats = enumerate_words(args.n, long_run=args.long_run)
+    from .enumeration import stats_to_json
+
+    stats = ntdice.enumerate_words(args.n, long_run=args.long_run)
     lines = [
         f"n: {stats.n}",
         f"total words: {stats.total_words}",
@@ -206,15 +194,15 @@ def _enumerate(args):
         if cache_dir and not os.path.isabs(out_path):
             os.makedirs(cache_dir, exist_ok=True)
             out_path = os.path.join(cache_dir, out_path)
-        cache_stats(stats, out_path)
-        load_stats(out_path)  # round-trip integrity check
+        ntdice.cache_stats(stats, out_path)
+        ntdice.load_stats(out_path)  # round-trip integrity check
         lines.append(f"stats written to {out_path}")
     return stats_to_json(stats), lines
 
 
 def _scan_max(args):
     """maximum probability over balanced non-transitive words"""
-    result = max_probability(args.n, long_run=args.long_run)
+    result = ntdice.max_probability(args.n, long_run=args.long_run)
     if result is None:
         payload = {"n": args.n, "max_prob": None, "witnesses": []}
         return payload, ["no balanced non-transitive word exists"]
@@ -226,14 +214,14 @@ def _scan_max(args):
 
 def _verify_fair(args):
     """fair-word census and block-product reachability"""
-    report = verify_fair_conjecture(args.n, bfs_budget=args.budget)
+    report = ntdice.verify_fair_conjecture(args.n, bfs_budget=args.budget)
     payload = dataclasses.asdict(report)
     return payload, [f"{key}: {value}" for key, value in payload.items()]
 
 
 def _similar(args):
     """breadth-first rewrite search between two words"""
-    result = similar(args.word1, args.word2, budget=args.budget)
+    result = ntdice.similar(args.word1, args.word2, budget=args.budget)
     path = result.path.to_json() if result.path is not None else None
     payload = {"outcome": result.outcome, "explored": result.explored, "path": path}
     lines = [f"outcome: {result.outcome} (explored {result.explored} words)"]
@@ -244,7 +232,7 @@ def _similar(args):
 
 def _normalize2(args):
     """normal form of a fair two-letter word"""
-    path = normalize_two_letter_fair(args.word)
+    path = ntdice.normalize_two_letter_fair(args.word)
     return path.to_json(), [f"normal form: {path.end}", f"moves: {len(path.moves)}"]
 
 

@@ -40,7 +40,6 @@ from .core import (
     classify,
     verdict_from_counts,
 )
-from .rewriting import similarity_class
 
 MAX_SIDES = 7
 LONG_RUN_SIDES = 7  # n = 7 has 399,072,960 words; the scan must be confirmed
@@ -106,6 +105,13 @@ def total_word_count(n: int) -> int:
 def _require_int(n: int) -> None:
     if type(n) is not int:
         raise DomainError(f"n must be an int, got {n!r}")
+
+
+def _exact_int(value, field: str) -> int:
+    """A stats-file integer: a JSON int, not a float, string or bool."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an int, got {value!r}")
+    return value
 
 
 def _check_sides(n: int, long_run: bool) -> None:
@@ -410,6 +416,8 @@ def verify_fair_conjecture(
 
     mixed_seeds = {"".join(p) for p in itertools.product(blocks, repeat=n // 2)}
 
+    from .rewriting import similarity_class
+
     class_same, same_done = similarity_class(same_seeds, bfs_budget)
     class_mixed, mixed_done = similarity_class(mixed_seeds, bfs_budget)
 
@@ -480,25 +488,26 @@ def load_stats(path: str | os.PathLike) -> EnumStats:
             f"expected {STATS_FORMAT_VERSION}"
         )
     try:
-        n = int(obj["n"])
         if not all(isinstance(word, str) for word in obj["max_witnesses"]):
             raise TypeError("witnesses must be words")
-        max_prob = (
-            Fraction(obj["max_prob"]) if obj["max_prob"] is not None else None
-        )
+        max_prob = obj["max_prob"]
+        if max_prob is not None and not isinstance(max_prob, str):
+            raise TypeError(f"max_prob must be a string or null, got {max_prob!r}")
+        counts = {
+            field: _exact_int(obj[field], field)
+            for field in ("n", "total_words", "count_balanced",
+                          "count_balanced_nontransitive", "count_fair")
+        }
         stats = EnumStats(
-            n=n,
-            total_words=int(obj["total_words"]),
-            count_balanced=int(obj["count_balanced"]),
-            count_balanced_nontransitive=int(obj["count_balanced_nontransitive"]),
-            count_fair=int(obj["count_fair"]),
-            max_prob=max_prob,
+            **counts,
+            max_prob=Fraction(max_prob) if max_prob is not None else None,
             max_witnesses=tuple(obj["max_witnesses"]),
             histogram={
-                Fraction(k): int(v) for k, v in obj["histogram"].items()
+                Fraction(k): _exact_int(v, f"histogram[{k!r}]")
+                for k, v in obj["histogram"].items()
             },
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CacheFormatError(f"malformed stats file: {exc}") from exc
     _check_consistent(stats)
     for word in stats.max_witnesses:

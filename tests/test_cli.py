@@ -4,10 +4,15 @@ import io
 import contextlib
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ntdice
 from ntdice.cli import COMMAND_OPERATIONS, build_parser, main
 
 
@@ -403,3 +408,53 @@ class TestCoverage:
         parser = build_parser()
         sub = next(a for a in parser._actions if a.choices is not None)
         assert set(COMMAND_OPERATIONS) == set(sub.choices)
+
+
+# The ntdice modules each subcommand loads beyond ntdice.cli: the lazy
+# package namespace imports an owning module only when a name is used.
+IMPORT_SCOPE = [
+    (["analyze", "ACBBACCBA"], {"core"}),
+    (["dice2word", DICE], {"core"}),
+    (["word2dice", "ACBBACCBA"], {"core"}),
+    (["concat", "ABCCBA", "ACBBACCBA"], {"core", "algebra"}),
+    (["irreducible", "ACBBACCBA"], {"core", "algebra"}),
+    (["similar", "ACBBACCBA", "ACBBACCBA"], {"core", "rewriting"}),
+    (["normalize2", "AABBBBAA"], {"core", "rewriting"}),
+    (["near-half", "--m", "3"], {"core", "rewriting", "constructions"}),
+    (["optimize", "--n", "6"], {"core", "rewriting", "constructions"}),
+    (["bounds", "--monotone-limit", "10"], {"core", "rewriting", "constructions"}),
+    (["construct", "--n", "7"], {"core", "rewriting", "constructions", "algebra"}),
+    (["enumerate", "--n", "3"], {"core", "enumeration"}),
+    (["scan-max", "--n", "3"], {"core", "enumeration"}),
+    (["verify-fair", "--n", "2"], {"core", "enumeration", "rewriting"}),
+]
+
+_LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('ntdice.'))))"
+
+
+def _loaded_in_fresh_process(code, argv, tmp_path):
+    src = Path(ntdice.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("argv,modules", IMPORT_SCOPE, ids=[row[0][0] for row in IMPORT_SCOPE])
+def test_subcommand_imports_only_its_modules(argv, modules, tmp_path):
+    code = (
+        "import contextlib, io, json, sys\nimport ntdice.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert ntdice.cli.main(sys.argv[1:]) == 0\n" + _LOADED
+    )
+    loaded = _loaded_in_fresh_process(code, argv, tmp_path)
+    assert loaded == {"ntdice.cli"} | {f"ntdice.{name}" for name in modules}
+
+
+def test_import_scope_covers_every_subcommand():
+    assert sorted(argv[0] for argv, _ in IMPORT_SCOPE) == sorted(COMMAND_OPERATIONS)
+
+
+def test_bare_package_import_loads_no_submodule(tmp_path):
+    assert _loaded_in_fresh_process("import json, sys\nimport ntdice\n" + _LOADED, [], tmp_path) == set()

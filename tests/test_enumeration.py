@@ -486,6 +486,40 @@ class TestStatsCache:
         with pytest.raises(CacheIntegrityError):
             load_stats(path)
 
+    @pytest.mark.parametrize(
+        "field, spoil",
+        [
+            ("n", lambda v: v + 0.9),
+            ("n", str),
+            ("n", float),
+            ("total_words", float),
+            ("count_balanced", bool),
+            ("count_balanced_nontransitive", float),
+            ("count_fair", str),
+            ("histogram", lambda h: {k: float(v) for k, v in h.items()}),
+            ("histogram", lambda h: {k: str(v) for k, v in h.items()}),
+            ("histogram", list),
+            ("max_prob", lambda p: float(Fraction(p))),
+            ("max_prob", lambda p: [p]),
+            ("max_prob", lambda p: "1/0"),
+            ("histogram", lambda h: {"1/0": 1}),
+        ],
+        ids=[
+            "n-3.9", "n-str", "n-float", "total_words-float", "count_balanced-bool",
+            "count_balanced_nontransitive-float", "count_fair-str", "histogram-float-values",
+            "histogram-str-values", "histogram-list", "max_prob-float", "max_prob-list",
+            "max_prob-zero-denominator", "histogram-zero-denominator",
+        ],
+    )
+    def test_field_types_are_strict(self, tmp_path, field, spoil):
+        path = tmp_path / "n3.json"
+        cache_stats(enumerate_words(3), path)
+        obj = json.loads(path.read_text())
+        obj[field] = spoil(obj[field])
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CacheFormatError):
+            load_stats(path)
+
     def test_witness_order_and_cap_checked(self, tmp_path):
         path = tmp_path / "n4.json"
         cache_stats(enumerate_words(4), path)
