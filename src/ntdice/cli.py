@@ -5,7 +5,7 @@ docstring is the help text and which returns ``(payload, text_lines)``
 without printing, the public operations it exercises, and its argparse
 arguments.  ``main`` prints the payload with --json (stable field names,
 exact rationals as "num/den" strings) and the text lines otherwise.  Exit
-codes: 0 on success, 1 on domain errors, 2 on usage errors.
+codes: 0 on success, 1 on domain and file errors, 2 on usage errors.
 
 This module imports only ``ntdice.core`` itself; each ``run`` function
 reaches its operations through the lazy package namespace
@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import ntdice
 
-from .core import DiceError, DiceSet, DiceSetError
+from .core import DEFAULT_BUDGET, DiceError, DiceSet, DiceSetError
 
 CACHE_DIR_ENV = "NTDICE_CACHE_DIR"
 
@@ -244,7 +244,7 @@ _WORD = _arg("word")
 _TWO_WORDS = (_arg("word1"), _arg("word2"))
 _N = _arg("--n", type=int, required=True)
 _LONG_RUN = _arg("--long-run", action="store_true")
-_BUDGET = _arg("--budget", type=int, default=2_000_000)
+_BUDGET = _arg("--budget", type=int, default=DEFAULT_BUDGET)
 _DICE_JSON = _arg("dice_json", help='e.g. {"n":3,"A":[1,5,9],"B":[3,4,8],"C":[2,6,7]}')
 _OUT = _arg("--out", help=f"write stats JSON (relative paths honor ${CACHE_DIR_ENV})")
 
@@ -313,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, lines = COMMANDS[args.command].run(args)
-    except DiceError as exc:
+    except (DiceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(payload, separators=(",", ":")) if args.json else "\n".join(lines))

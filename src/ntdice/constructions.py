@@ -28,6 +28,7 @@ from .rewriting import (
     MovePath,
     PairExchange,
     TripleShift,
+    _reverse,
     _shift_sites,
     apply_move,
 )
@@ -236,40 +237,39 @@ class OptimizerReport:
         }
 
 
-def _paired_cb_flip(
-    w: list[str], left: int, moves: list[PairExchange]
-) -> bool:
+def _paired_cb_flip(word: str, left: int, moves: list[PairExchange]) -> str | None:
     """Reverse the CB window at 0-based left cell, paired with the nearest
-    disjoint BC window (ties to the smaller index).  Returns False when no
-    complementary window exists."""
-    word = "".join(w)
+    disjoint BC window (ties to the smaller index), and record the exchange.
+    Returns the flipped word, or None when no complementary window exists."""
     near = [c for c in (word.rfind("BC", 0, left), word.find("BC", left + 2)) if c >= 0]
     if not near:
-        return False
+        return None
     comp = min(near, key=lambda c: (abs(c - left), c))
-    w[left], w[left + 1] = "B", "C"
-    w[comp], w[comp + 1] = "C", "B"
     lo, hi = sorted((left + 1, comp + 1))
     moves.append(PairExchange(i=lo, j=hi))
-    return True
+    return _reverse(word, lo, hi)
 
 
-def _manufacture_ab(w: list[str], moves: list[PairExchange]) -> bool:
-    """Bubble the leftmost B separated from an A only by Cs over to it."""
-    found = re.search("AC+B", "".join(w))
-    if found is None:
-        return False
-    a, b = found.start(), found.end() - 1
-    return all(_paired_cb_flip(w, cur - 1, moves) for cur in range(b, a + 1, -1))
-
-
-def _manufacture_ca(w: list[str], moves: list[PairExchange]) -> bool:
-    """Bubble the rightmost C separated from an A only by Bs over to it."""
-    found = list(re.finditer("CB+A", "".join(w)))
-    if not found:
-        return False
-    c, fwd = found[-1].start(), found[-1].end() - 1
-    return all(_paired_cb_flip(w, cur, moves) for cur in range(c, fwd - 1))
+def _manufacture(word: str, window: str, moves: list[PairExchange]) -> tuple[str, bool]:
+    """Make an AB (or CA) window by bubbling the B of the first AC+B run
+    left to its A (or the C of the last CB+A run right to its A), one paired
+    CB flip per cell.  Returns the word reached, partial when a flip finds no
+    partner so that the recorded moves still lead to it, and whether the
+    window was made."""
+    if window == "AB":
+        run = re.search("AC+B", word)
+        cells = run and range(run.end() - 2, run.start(), -1)
+    else:
+        run = re.search(".*(CB+A)", word)
+        cells = run and range(run.start(1), run.end() - 2)
+    if not cells:
+        return word, False
+    for left in cells:
+        flipped = _paired_cb_flip(word, left, moves)
+        if flipped is None:
+            return word, False
+        word = flipped
+    return word, True
 
 
 def optimize_max_prob(n: int) -> OptimizerReport:
@@ -290,32 +290,26 @@ def optimize_max_prob(n: int) -> OptimizerReport:
     target_excess = Fraction((p + rounds) * h, n * n)
 
     moves: list[PairExchange | TripleShift] = []
-    w = list(start)
+    word = start
     applied = 0
     # each round needs at most two window manufactures; a stall budget
     # guarantees termination even if a manufacture undoes another's work
     stalls_left = 4 * rounds + 8
     while applied < needed:
-        word = "".join(w)
         move = next(_shift_sites(word), None)
         if move is not None:
-            w = list(apply_move(word, move))
+            word = apply_move(word, move)
             moves.append(move)
             applied += 1
             continue
         stalls_left -= 1
-        if stalls_left < 0:
+        missing = next((pair for pair in ("AB", "CA") if pair not in word), None)
+        if stalls_left < 0 or missing is None:
+            break  # out of stalls, or windows exist but cannot be made disjoint
+        word, made = _manufacture(word, missing, moves)
+        if not made:
             break
-        if "AB" not in word:
-            if not _manufacture_ab(w, moves):
-                break
-        elif "CA" not in word:
-            if not _manufacture_ca(w, moves):
-                break
-        else:
-            break  # windows exist but cannot be made disjoint
-    end = "".join(w)
-    achieved = pair_counts(end)
+    achieved = pair_counts(word)
     achieved_excess = Fraction(achieved.ab, n * n) - Fraction(1, 2)
     return OptimizerReport(
         n=n,
@@ -324,7 +318,7 @@ def optimize_max_prob(n: int) -> OptimizerReport:
         rounds=rounds,
         target_excess=target_excess,
         achieved=achieved,
-        moves=MovePath(start=start, moves=tuple(moves), end=end),
+        moves=MovePath(start=start, moves=tuple(moves), end=word),
         gap=target_excess - achieved_excess,
     )
 

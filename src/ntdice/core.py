@@ -61,6 +61,20 @@ def require_complete(word: str) -> int:
     return a
 
 
+# The default and the ceiling of every similarity-search state budget.  A
+# BFS holds about 140 B per state, so this allows about 0.3 GB.
+DEFAULT_BUDGET = 2_000_000
+
+
+def _require_budget(budget: int) -> None:
+    if type(budget) is not int:
+        raise DomainError(f"search budget must be an int, got {budget!r}")
+    if budget < 1:
+        raise DomainError(f"search budget must be at least 1, got {budget}")
+    if budget > DEFAULT_BUDGET:
+        raise DomainError(f"search budget must be at most {DEFAULT_BUDGET}, got {budget}")
+
+
 @dataclass(frozen=True)
 class DiceWord:
     """A parsed word plus its letter counts and completeness flag."""

@@ -33,10 +33,12 @@ from functools import cache
 from typing import Callable, Iterator
 
 from .core import (
+    DEFAULT_BUDGET,
     DiceError,
     DomainError,
     PairCounts,
     Verdict,
+    _require_budget,
     classify,
     verdict_from_counts,
 )
@@ -44,7 +46,6 @@ from .core import (
 MAX_SIDES = 7
 LONG_RUN_SIDES = 7  # n = 7 has 399,072,960 words; the scan must be confirmed
 WITNESS_CAP = 10
-DEFAULT_BFS_BUDGET = 2_000_000
 
 STATS_FORMAT_VERSION = 1
 
@@ -377,7 +378,7 @@ class FairConjectureReport:
 
 
 def verify_fair_conjecture(
-    n: int, bfs_budget: int = DEFAULT_BFS_BUDGET
+    n: int, bfs_budget: int = DEFAULT_BUDGET
 ) -> FairConjectureReport:
     """Census of fair words at n and their similarity to block products.
 
@@ -389,8 +390,7 @@ def verify_fair_conjecture(
     _require_int(n)
     if not 1 <= n <= MAX_SIDES:
         raise DomainError(f"supported range is 1 <= n <= {MAX_SIDES}, got {n}")
-    if bfs_budget < 1:
-        raise DomainError(f"search budget must be at least 1, got {bfs_budget}")
+    _require_budget(bfs_budget)
     if n % 2:
         return FairConjectureReport(
             n=n,

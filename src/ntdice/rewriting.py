@@ -12,6 +12,11 @@ Move inventory (windows are adjacent letter pairs, 1-based left cell):
   and CA become BA, CB and AC together; every win count rises by exactly 1,
   so balance is preserved while the common probability gains 1/n^2.
 
+Exchanges and shifts both reverse two-letter windows, and one kernel,
+``_reverse(word, *cells)``, performs every such reversal for ``apply_move``,
+the similarity search, the normal form and the shift optimizer; words stay
+``str`` throughout.
+
 Two words are *similar* when a sequence of the two count-preserving moves
 turns one into the other.  ``similar`` runs a deterministic breadth-first
 search (dedup by word value, moves expanded in canonical order) and so
@@ -24,7 +29,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
-from .core import DiceError, DomainError, require_complete
+from .core import DEFAULT_BUDGET, DiceError, DomainError, require_complete
+from .core import _JSON_TYPES, _require_budget
 
 
 class MoveError(DiceError):
@@ -87,7 +93,8 @@ def _field(obj: dict, name: str, kind: type) -> int | str:
 
 def move_from_json(obj: dict) -> Move:
     if not isinstance(obj, dict):
-        raise MoveError(f"a move must be a JSON object, got {type(obj).__name__}")
+        kind = _JSON_TYPES.get(type(obj), type(obj).__name__)
+        raise MoveError(f"a move must be a JSON object, got {kind}")
     kind = obj.get("kind")
     if kind == "pair-exchange":
         return PairExchange(i=_field(obj, "i", int), j=_field(obj, "j", int))
@@ -144,6 +151,15 @@ class MovePath:
         )
 
 
+def _reverse(word: str, *cells: int) -> str:
+    """Reverse the two-letter windows at pairwise-disjoint 1-based cells: the
+    one place that rewrites letters.  Slicing costs O(L) per cell with small
+    constants, on the short BFS words and the long optimizer words alike."""
+    for i in cells:
+        word = word[: i - 1] + word[i] + word[i - 1] + word[i + 1 :]
+    return word
+
+
 def _check_window(word: str, i: int, what: str) -> None:
     if not 1 <= i <= len(word) - 1:
         raise MoveError(f"{what} window at {i} out of range for length {len(word)}")
@@ -166,10 +182,7 @@ def apply_move(word: str, move: Move, require_completeness: bool = True) -> str:
             raise MoveError(
                 f"window at {j} reads {word[j - 1]}{word[j]}, expected {y}{x}"
             )
-        letters = list(word)
-        letters[i - 1], letters[i] = y, x
-        letters[j - 1], letters[j] = x, y
-        return "".join(letters)
+        return _reverse(word, i, j)
     if isinstance(move, TripleRotate):
         if len(word) < 3:
             raise MoveError("triple rotation needs at least three letters")
@@ -191,17 +204,14 @@ def apply_move(word: str, move: Move, require_completeness: bool = True) -> str:
         for p, q in ((i, j), (i, k), (j, k)):
             if abs(p - q) < 2:
                 raise MoveError(f"triple-shift windows at {p} and {q} overlap")
-        letters = list(word)
-        letters[i - 1], letters[i] = "B", "A"
-        letters[j - 1], letters[j] = "C", "B"
-        letters[k - 1], letters[k] = "A", "C"
-        return "".join(letters)
+        return _reverse(word, i, j, k)
     raise TypeError(f"not a move: {move!r}")
 
 
-def _windows(word: str, pattern: str) -> Iterator[int]:
-    """1-based left cells of every window reading the two-letter pattern."""
-    at = word.find(pattern)
+def _windows(word: str, pattern: str, start: int = 1) -> Iterator[int]:
+    """1-based left cells, from start on, of every window reading the
+    two-letter pattern."""
+    at = word.find(pattern, start - 1)
     while at >= 0:
         yield at + 1
         at = word.find(pattern, at + 1)
@@ -277,35 +287,25 @@ def normalize_two_letter_fair(word: str) -> MovePath:
     block = "ABBA" if word[0] == "A" else "BAAB"
     target = block * m
     moves: list[PairExchange] = []
-    w = list(word)
+    w = word
     for z in range(length):
         need = target[z]
         while w[z] != need:
-            j = z + 1
-            while w[j] != need:
-                j += 1
-            # Window (j-1, j) reads other+need; reversing it drags the
-            # needed letter one cell left.  Pair it with a disjoint
-            # need+other window in the unfixed region.
+            # Cells z..j-1 hold the other letter, so the window ending at j
+            # reads other+need; reversing it drags the needed letter one
+            # cell left.  Pair it with the first need+other window, which
+            # therefore starts after j and is disjoint from it.
+            j = w.index(need, z + 1)
             other = w[j - 1]
-            comp = None
-            for c in range(z, length - 1):
-                if abs(c - (j - 1)) < 2:
-                    continue
-                if w[c] == need and w[c + 1] == other:
-                    comp = c
-                    break
-            if comp is None:
+            comp = w.find(need + other, j + 1)
+            if comp < 0:
                 raise NormalizationError(
                     f"no complementary {need}{other} window while fixing "
                     f"position {z + 1} of {word!r}"
                 )
-            w[j - 1], w[j] = need, other
-            w[comp], w[comp + 1] = other, need
-            lo, hi = sorted((j, comp + 1))
-            moves.append(PairExchange(i=lo, j=hi))
-    end = "".join(w)
-    return MovePath(start=word, moves=tuple(moves), end=end)
+            w = _reverse(w, j, comp + 1)
+            moves.append(PairExchange(i=j, j=comp + 1))
+    return MovePath(start=word, moves=tuple(moves), end=w)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +315,6 @@ def normalize_two_letter_fair(word: str) -> MovePath:
 OUTCOME_FOUND = "found"
 OUTCOME_NOT_SIMILAR = "not-similar"
 OUTCOME_BUDGET_EXCEEDED = "budget-exceeded"
-
-DEFAULT_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -335,24 +333,12 @@ class SimilarityResult:
 def _neighbor_moves(word: str) -> Iterator[tuple[Move, str]]:
     """Deterministic move enumeration: exchanges by ascending windows,
     then the two rotations."""
-    length = len(word)
-    windows = []
-    for i in range(1, length):
+    for i in range(1, len(word)):
         x, y = word[i - 1], word[i]
         if x != y:
-            windows.append((i, x, y))
-    for a in range(len(windows)):
-        i, x, y = windows[a]
-        for b in range(a + 1, len(windows)):
-            j, u, v = windows[b]
-            if j - i < 2:
-                continue
-            if u == y and v == x:
-                letters = list(word)
-                letters[i - 1], letters[i] = y, x
-                letters[j - 1], letters[j] = x, y
-                yield PairExchange(i=i, j=j), "".join(letters)
-    if length >= 3:
+            for j in _windows(word, y + x, i + 2):
+                yield PairExchange(i=i, j=j), _reverse(word, i, j)
+    if len(word) >= 3:
         if len(set(word[:3])) == 3:
             yield TripleRotate(to_back=True), word[3:] + word[:3]
         if len(set(word[-3:])) == 3:
@@ -367,8 +353,7 @@ def similar(w1: str, w2: str, budget: int = DEFAULT_BUDGET) -> SimilarityResult:
     order.  The move set is closed under inverses, making reachability
     symmetric in the two words.
     """
-    if budget < 1:
-        raise DomainError(f"search budget must be at least 1, got {budget}")
+    _require_budget(budget)
     require_complete(w1)
     require_complete(w2)
     if len(w1) != len(w2):
@@ -421,8 +406,7 @@ def similarity_class(
     budget stopped the search before the frontier emptied, in which case
     membership of absent words is unknown rather than refuted.
     """
-    if budget < 1:
-        raise DomainError(f"search budget must be at least 1, got {budget}")
+    _require_budget(budget)
     seeds = list(seeds)
     for w in seeds:
         require_complete(w)

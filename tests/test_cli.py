@@ -325,6 +325,14 @@ class TestCommandsRun:
                 ["similar", "AABBCCCCBBAA", "ABCCBAABCCBA", "--budget", "-1"],
                 "search budget must be at least 1, got -1",
             ),
+            (
+                ["verify-fair", "--n", "4", "--budget", "2000001"],
+                "search budget must be at most 2000000, got 2000001",
+            ),
+            (
+                ["similar", "ACBBACCBA", "CBABACACB", "--budget", "10000000"],
+                "search budget must be at most 2000000, got 10000000",
+            ),
         ],
     )
     def test_bad_bounds_and_budgets_exit_one(self, argv, message):
@@ -361,6 +369,16 @@ class TestEnumerateOut:
         assert load_stats(path) == enumerate_words(3)
         # the printed JSON equals the file contents, modulo whitespace
         assert json.loads(out) == json.loads(path.read_text())
+
+    @pytest.mark.parametrize("target", ["missing/dir/n2.json", "existing/"])
+    def test_unwritable_out_exits_one(self, target, tmp_path):
+        (tmp_path / "existing").mkdir()
+        argv = ["enumerate", "--n", "2", "--out", f"{tmp_path}/{target}"]
+        for mode in ([], ["--json"]):
+            code, out, err = run_cli(argv + mode)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: [Errno ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.rglob("*")] == ["existing"]
 
     def test_cache_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NTDICE_CACHE_DIR", str(tmp_path / "cache"))

@@ -405,6 +405,15 @@ class TestFairConjecture:
                 with pytest.raises(DomainError, match="budget"):
                     verify_fair_conjecture(n, bfs_budget=budget)
 
+    def test_budget_above_ceiling_or_not_an_int_rejected(self):
+        from ntdice.core import DEFAULT_BUDGET
+
+        for n in (3, 4):
+            with pytest.raises(DomainError, match=f"at most {DEFAULT_BUDGET}, got"):
+                verify_fair_conjecture(n, bfs_budget=DEFAULT_BUDGET + 1)
+            with pytest.raises(DomainError, match="must be an int, got 5.0"):
+                verify_fair_conjecture(n, bfs_budget=5.0)
+
     def test_budget_exhaustion_reported_as_unresolved(self):
         report = verify_fair_conjecture(4, bfs_budget=10)
         assert report.unresolved_same_perm > 0

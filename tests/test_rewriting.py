@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, seed
+from hypothesis import strategies as st
 
 from ntdice import (
     DomainError,
@@ -20,14 +22,17 @@ from ntdice import (
     similar,
     similarity_class,
 )
+from ntdice.core import DEFAULT_BUDGET
 from ntdice.rewriting import (
     MoveError,
+    NormalizationError,
     OUTCOME_BUDGET_EXCEEDED,
     OUTCOME_FOUND,
     OUTCOME_NOT_SIMILAR,
     move_from_json,
     move_to_json,
     two_letter_wins,
+    _reverse,
 )
 
 from conftest import PROPERTY, complete_words, random_complete_word
@@ -83,6 +88,23 @@ class TestApplyMove:
     def test_shift_window_patterns_checked(self):
         with pytest.raises(MoveError, match="expected 'BC'"):
             apply_move("ABBCCA", TripleShift(1, 4, 5))
+
+
+class TestReverse:
+    @seed(20206)
+    @PROPERTY
+    @given(st.text("ABC", min_size=2, max_size=40), st.randoms(use_true_random=False))
+    def test_matches_list_swaps_property(self, word, rng):
+        free = list(range(1, len(word)))
+        cells = []
+        while free and rng.random() < 0.8:
+            cell = rng.choice(free)
+            cells.append(cell)
+            free = [c for c in free if abs(c - cell) >= 2]
+        letters = list(word)
+        for i in cells:
+            letters[i - 1], letters[i] = letters[i], letters[i - 1]
+        assert _reverse(word, *cells) == "".join(letters)
 
 
 class TestFindShiftSites:
@@ -224,6 +246,116 @@ class TestNormalizeTwoLetterFair:
             done += 1
 
 
+def reference_normalize_two_letter_fair(word):
+    """The list-based normal form the str version replaced: the needed
+    letter by a cell walk and the complementary window by a scan of every
+    cell from z, skipping the two that overlap the bubbling window."""
+    bad = set(word) - {"A", "B"}
+    if bad:
+        raise DomainError(f"expected a word over A and B, found {sorted(bad)!r}")
+    length = len(word)
+    if length % 4:
+        raise DomainError(f"length {length} is not a multiple of 4")
+    m = length // 4
+    a = word.count("A")
+    if a != 2 * m:
+        raise DomainError(f"unequal letter counts: {a} A vs {length - a} B")
+    wins = two_letter_wins(word)
+    if wins != 2 * m * m:
+        raise DomainError(f"not fair: N(A>B)={wins}, fair value is {2 * m * m}")
+    if m == 0:
+        return MovePath(start=word, moves=(), end=word)
+
+    block = "ABBA" if word[0] == "A" else "BAAB"
+    target = block * m
+    moves = []
+    w = list(word)
+    for z in range(length):
+        need = target[z]
+        while w[z] != need:
+            j = z + 1
+            while w[j] != need:
+                j += 1
+            other = w[j - 1]
+            comp = None
+            for c in range(z, length - 1):
+                if abs(c - (j - 1)) < 2:
+                    continue
+                if w[c] == need and w[c + 1] == other:
+                    comp = c
+                    break
+            if comp is None:
+                raise NormalizationError(
+                    f"no complementary {need}{other} window while fixing "
+                    f"position {z + 1} of {word!r}"
+                )
+            w[j - 1], w[j] = need, other
+            w[comp], w[comp + 1] = other, need
+            lo, hi = sorted((j, comp + 1))
+            moves.append(PairExchange(i=lo, j=hi))
+    end = "".join(w)
+    return MovePath(start=word, moves=tuple(moves), end=end)
+
+
+def _normalized(fn, word):
+    """fn's MovePath for word, or the type and message of what it raised."""
+    try:
+        return fn(word)
+    except (DomainError, NormalizationError) as exc:
+        return type(exc), str(exc)
+
+
+def _fair_two_letter_words(m):
+    for positions in itertools.combinations(range(4 * m), 2 * m):
+        letters = ["B"] * (4 * m)
+        for i in positions:
+            letters[i] = "A"
+        word = "".join(letters)
+        if two_letter_wins(word) == 2 * m * m:
+            yield word
+
+
+class TestNormalizeMatchesReference:
+    def test_every_fair_word_up_to_length_16(self):
+        words = [w for m in range(5) for w in _fair_two_letter_words(m)]
+        assert len(words) == 1 + 2 + 8 + 58 + 526
+        for word in words:
+            got = normalize_two_letter_fair(word)
+            assert got == reference_normalize_two_letter_fair(word), word
+
+    @pytest.mark.parametrize(
+        "word", ["ABAB", "AB", "AAAB", "ABC", "ABCCBA", "ABBAC", "BBBBAAAA"]
+    )
+    def test_same_errors(self, word):
+        got = _normalized(normalize_two_letter_fair, word)
+        assert isinstance(got, tuple)
+        assert got == _normalized(reference_normalize_two_letter_fair, word)
+
+    @seed(20207)
+    @PROPERTY
+    @given(
+        st.integers(1, 10).flatmap(lambda m: st.permutations("AB" * 2 * m)),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_reference_property(self, letters, rng):
+        # half the draws are made fair by random pair exchanges out of
+        # (ABBA)^m, which keep the win count; the rest are any two-letter
+        # word with equal letter counts
+        word = "".join(letters)
+        if rng.random() < 0.5:
+            word = "ABBA" * (len(word) // 4)
+            for _ in range(len(word)):
+                i = rng.randrange(1, len(word))
+                pair = word[i] + word[i - 1]
+                partners = [j for j in range(1, len(word))
+                            if abs(j - i) >= 2 and word[j - 1 : j + 1] == pair]
+                if pair[0] != pair[1] and partners:
+                    i, j = sorted((i, rng.choice(partners)))
+                    word = apply_move(word, PairExchange(i, j), False)
+        got = _normalized(normalize_two_letter_fair, word)
+        assert got == _normalized(reference_normalize_two_letter_fair, word)
+
+
 class TestMovePathSerialization:
     def test_json_round_trip(self):
         path = similar("AABBCCCCBBAA", "ABCCBAABCCBA").path
@@ -249,10 +381,22 @@ class TestMovePathSerialization:
             {"kind": "pair-exchange", "i": "2", "j": 9},
             {"kind": "pair-exchange", "i": 2, "j": None},
             ["pair-exchange", 2, 9],
+            None,
+            5,
+            "pair-exchange",
         ],
     )
     def test_malformed_move_rejected(self, obj):
         with pytest.raises(MoveError):
+            move_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj,kind",
+        [(["pair-exchange", 2, 9], "array"), (None, "null"), (5, "number"),
+         (2.5, "number"), (True, "boolean"), ("x", "string")],
+    )
+    def test_non_object_move_names_its_json_type(self, obj, kind):
+        with pytest.raises(MoveError, match=f"^a move must be a JSON object, got {kind}$"):
             move_from_json(obj)
 
     @pytest.mark.parametrize(
@@ -303,6 +447,26 @@ class TestSimilar:
                 similar("ACBBACCBA", "ACBBACCBA", budget=budget)
             with pytest.raises(DomainError, match="budget"):
                 similarity_class(["CBABACACB"], budget=budget)
+
+    @staticmethod
+    def _assert_rejected(budget, message):
+        for search in (
+            lambda: similar("ACBBACCBA", "CBABACACB", budget=budget),
+            lambda: similar("ACBBACCBA", "ACBBACCBA", budget=budget),
+            lambda: similarity_class(["CBABACACB"], budget=budget),
+        ):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                search()
+
+    def test_budget_above_ceiling_rejected(self):
+        assert similar("ACBBACCBA", "CBABACACB", budget=DEFAULT_BUDGET).explored == 3
+        for budget in (DEFAULT_BUDGET + 1, 10**12):
+            message = f"search budget must be at most {DEFAULT_BUDGET}, got {budget}"
+            self._assert_rejected(budget, message)
+
+    @pytest.mark.parametrize("budget", [2.5, 5.0, True, "5", None])
+    def test_budget_must_be_an_int(self, budget):
+        self._assert_rejected(budget, f"search budget must be an int, got {budget!r}")
 
     def test_proved_negative_is_distinct(self):
         # The two 3-sided orbits carry identical counts (5,5,5) yet admit
