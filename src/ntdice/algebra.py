@@ -11,8 +11,8 @@ form reads P = 1/2 + ((left - m^2/2) + (right - n^2/2)) / (m+n)^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     DomainError,
@@ -23,8 +23,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class ConcatPrediction:
+class ConcatPrediction(NamedTuple):
     """Counts predicted for a concatenation from operand counts alone."""
 
     m: int
@@ -32,8 +31,7 @@ class ConcatPrediction:
     predicted: PairCounts
 
 
-@dataclass(frozen=True)
-class IrreducibilityReport:
+class IrreducibilityReport(NamedTuple):
     """Result of the binary-split irreducibility check.
 
     witness_split is the length of the shortest proper prefix such that

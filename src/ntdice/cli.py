@@ -4,8 +4,9 @@ Each subcommand is one row of ``COMMANDS``: a ``run(args)`` function whose
 docstring is the help text and which returns ``(payload, text_lines)``
 without printing, the public operations it exercises, and its argparse
 arguments.  ``main`` prints the payload with --json (stable field names,
-exact rationals as "num/den" strings) and the text lines otherwise.  Exit
-codes: 0 on success, 1 on domain and file errors, 2 on usage errors.
+exact rationals as "num/den" strings; a flat report record as its
+``_asdict()``) and the text lines otherwise.  Exit codes: 0 on success, 1
+on domain and file errors, 2 on usage errors.
 
 This module imports only ``ntdice.core`` itself; each ``run`` function
 reaches its operations through the lazy package namespace
@@ -21,7 +22,6 @@ add ``rewriting`` and ``constructions`` (``construct`` also ``algebra``),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -99,7 +99,7 @@ def _irreducible(args):
     """binary-split irreducibility check"""
     report = ntdice.is_irreducible(args.word)
     line = f"reducible: split after {report.witness_split} letters"
-    return dataclasses.asdict(report), ["irreducible" if report.irreducible else line]
+    return report._asdict(), ["irreducible" if report.irreducible else line]
 
 
 def _construct(args):
@@ -215,7 +215,7 @@ def _scan_max(args):
 def _verify_fair(args):
     """fair-word census and block-product reachability"""
     report = ntdice.verify_fair_conjecture(args.n, bfs_budget=args.budget)
-    payload = dataclasses.asdict(report)
+    payload = report._asdict()
     return payload, [f"{key}: {value}" for key, value in payload.items()]
 
 

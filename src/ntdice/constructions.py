@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import DiceSet, DomainError, PairCounts, pair_counts
 from .rewriting import (
@@ -45,8 +44,7 @@ CANONICAL3 = "CBABACACB"
 DENSE4 = "CBABAACCBCBA"
 
 
-@dataclass(frozen=True)
-class BaseWords:
+class BaseWords(NamedTuple):
     """The five named base words used by the construction families."""
 
     fair_block: str
@@ -57,13 +55,7 @@ class BaseWords:
 
 
 def base_words() -> BaseWords:
-    return BaseWords(
-        fair_block=FAIR_BLOCK,
-        seed3=SEED3,
-        seed4=SEED4,
-        canonical3=CANONICAL3,
-        dense4=DENSE4,
-    )
+    return BaseWords(FAIR_BLOCK, SEED3, SEED4, CANONICAL3, DENSE4)
 
 
 # Previously published dice tables (3-, 4- and 5-sided) whose common win
@@ -208,8 +200,7 @@ def max_shift_rounds(n: int) -> int:
     return min(2 * p, (lin - root - (root * root != disc)) // 2)
 
 
-@dataclass(frozen=True)
-class OptimizerReport:
+class OptimizerReport(NamedTuple):
     """Outcome of driving the shifted block word to its maximum."""
 
     n: int
@@ -328,8 +319,7 @@ def optimize_max_prob(n: int) -> OptimizerReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurdValue:
+class SurdValue(NamedTuple):
     """The exact real number (a + b*sqrt(d)) / c with integers, c > 0."""
 
     a: int
@@ -398,8 +388,7 @@ LIMIT_EXCESS_SHORTENED = SurdValue(a=13, b=-1, c=24, d=153)
 EXCESS_BOUND = Fraction(1, 9)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Exact limit constants, comparison verdicts, and errata flags."""
 
     limit_excess: SurdValue

@@ -9,12 +9,16 @@ pairwise-disjoint n-element sets partitioning ``{1, ..., 3n}``.
 All probabilities are exact ``fractions.Fraction`` values.  Classification
 predicates (balanced, non-transitive, fair) are decided by integer
 comparisons only; floating point is never consulted.
+
+Every record of the package (counts, verdicts, moves, reports) is a
+``typing.NamedTuple``: immutable, hashed and compared as the tuple of its
+fields, so it also equals a plain tuple of the same values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 LETTERS = ("A", "B", "C")
 
@@ -75,8 +79,7 @@ def _require_budget(budget: int) -> None:
         raise DomainError(f"search budget must be at most {DEFAULT_BUDGET}, got {budget}")
 
 
-@dataclass(frozen=True)
-class DiceWord:
+class DiceWord(NamedTuple):
     """A parsed word plus its letter counts and completeness flag."""
 
     text: str
@@ -108,8 +111,7 @@ _JSON_TYPES = {list: "array", str: "string", int: "number", float: "number",
                bool: "boolean", type(None): "null"}
 
 
-@dataclass(frozen=True)
-class DiceSet:
+class DiceSet(NamedTuple):
     """Three pairwise-disjoint n-element label sets covering 1..3n."""
 
     n: int
@@ -153,8 +155,7 @@ class DiceSet:
         return cls(n, *dice)
 
 
-@dataclass(frozen=True)
-class PairCounts:
+class PairCounts(NamedTuple):
     """Exact win counts N(A>B), N(B>C), N(C>A) for an n-sided dice word."""
 
     n: int
@@ -166,17 +167,18 @@ class PairCounts:
         return (self.ab, self.bc, self.ca)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Classification of a complete word with exact probabilities."""
+class Verdict(NamedTuple):
+    """Classification of a complete word; the exact probabilities are
+    built from the counts when read."""
 
     counts: PairCounts
-    p_ab: Fraction
-    p_bc: Fraction
-    p_ca: Fraction
     balanced: bool
     nontransitive: bool
     fair: bool
+
+    p_ab = property(lambda self: Fraction(self.counts.ab, self.counts.n ** 2))
+    p_bc = property(lambda self: Fraction(self.counts.bc, self.counts.n ** 2))
+    p_ca = property(lambda self: Fraction(self.counts.ca, self.counts.n ** 2))
 
 
 def _validate_dice(d: DiceSet) -> None:
@@ -254,12 +256,9 @@ def verdict_from_counts(counts: PairCounts) -> Verdict:
     if n < 1:
         raise DomainError("empty word has no win probabilities")
     sq = n * n
-    ab, bc, ca = counts.ab, counts.bc, counts.ca
+    _, ab, bc, ca = counts
     return Verdict(
         counts=counts,
-        p_ab=Fraction(ab, sq),
-        p_bc=Fraction(bc, sq),
-        p_ca=Fraction(ca, sq),
         balanced=(ab == bc == ca),
         nontransitive=(2 * ab > sq and 2 * bc > sq and 2 * ca > sq),
         fair=(2 * ab == sq and 2 * bc == sq and 2 * ca == sq),

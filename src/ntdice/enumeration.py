@@ -23,14 +23,14 @@ count a caller passes.
 
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .core import (
     DEFAULT_BUDGET,
@@ -58,19 +58,28 @@ class CacheIntegrityError(DiceError):
     """A stats file contradicts itself or its witnesses fail re-verification."""
 
 
-@dataclass(frozen=True)
-class EnumFilter:
-    """Conjunctive word filter: set flags that matching words must have."""
-
+class _FilterFields(NamedTuple):
     balanced: bool = False
     nontransitive: bool = False
     fair: bool = False
     counts: tuple[int, int, int] | None = None
 
-    def __post_init__(self) -> None:
+
+class EnumFilter(_FilterFields):
+    """Conjunctive word filter: set flags that matching words must have.
+    Construction checks that counts, when given, is a tuple of three ints."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "EnumFilter":
+        self = super().__new__(cls, *args, **kwargs)
         if (c := self.counts) is not None and not (
                 type(c) is tuple and len(c) == 3 and all(type(v) is int for v in c)):
             raise DomainError(f"counts must be a tuple of three ints, got {c!r}")
+        return self
+
+    # _replace builds through _make, which would otherwise skip the check
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def matches(self, verdict: Verdict) -> bool:
         if self.balanced and not verdict.balanced:
@@ -84,8 +93,7 @@ class EnumFilter:
         return True
 
 
-@dataclass(frozen=True)
-class EnumStats:
+class EnumStats(NamedTuple):
     """Aggregate results of one exhaustive scan."""
 
     n: int
@@ -355,8 +363,7 @@ def _canonical_blocks() -> list[str]:
     return [x + y + z + z + y + x for x, y, z in _PERMS]
 
 
-@dataclass(frozen=True)
-class FairConjectureReport:
+class FairConjectureReport(NamedTuple):
     """Fair-word census plus reachability toward canonical block products.
 
     Two readings of "product of six-letter blocks xyzzyx" are reported
@@ -460,17 +467,26 @@ def cache_stats(stats: EnumStats, path: str | os.PathLike) -> None:
 
     The file is written under a temporary name in the same directory and
     then renamed over path, so a write that fails part-way leaves any
-    earlier file at path whole."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    fh = open(tmp, "w", encoding="utf-8")
+    earlier file at path whole.  An error that names a file names path,
+    never the temporary file."""
+    target = os.fspath(path)
+    if os.path.isdir(target):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+    tmp = f"{target}.{os.getpid()}.tmp"
     try:
-        with fh:
-            json.dump(stats_to_json(stats), fh, indent=1, sort_keys=False)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fh = open(tmp, "w", encoding="utf-8")
+        try:
+            with fh:
+                json.dump(stats_to_json(stats), fh, indent=1, sort_keys=False)
+                fh.write("\n")
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, target) from exc
 
 
 def load_stats(path: str | os.PathLike) -> EnumStats:

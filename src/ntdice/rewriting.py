@@ -26,8 +26,7 @@ returns the shortest, lexicographically-least move path when one exists.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .core import DEFAULT_BUDGET, DiceError, DomainError, require_complete
 from .core import _JSON_TYPES, _require_budget
@@ -45,23 +44,20 @@ class NormalizationError(DiceError):
     """
 
 
-@dataclass(frozen=True)
-class PairExchange:
+class PairExchange(NamedTuple):
     """Simultaneous reversal of an xy window at i and a yx window at j."""
 
     i: int
     j: int
 
 
-@dataclass(frozen=True)
-class TripleRotate:
+class TripleRotate(NamedTuple):
     """Move the first (to_back) or last block of three distinct letters."""
 
     to_back: bool
 
 
-@dataclass(frozen=True)
-class TripleShift:
+class TripleShift(NamedTuple):
     """Replace AB at i, BC at j, CA at k by BA, CB, AC all together."""
 
     i: int
@@ -108,8 +104,7 @@ def move_from_json(obj: dict) -> Move:
     raise MoveError(f"unknown move kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class MovePath:
+class MovePath(NamedTuple):
     """A start word, an ordered move list, and the resulting end word."""
 
     start: str
@@ -317,8 +312,7 @@ OUTCOME_NOT_SIMILAR = "not-similar"
 OUTCOME_BUDGET_EXCEEDED = "budget-exceeded"
 
 
-@dataclass(frozen=True)
-class SimilarityResult:
+class SimilarityResult(NamedTuple):
     """Outcome of a breadth-first similarity search.
 
     outcome separates a proved negative (frontier exhausted) from an
@@ -330,19 +324,24 @@ class SimilarityResult:
     explored: int
 
 
-def _neighbor_moves(word: str) -> Iterator[tuple[Move, str]]:
-    """Deterministic move enumeration: exchanges by ascending windows,
-    then the two rotations."""
+_TO_BACK, _TO_FRONT = TripleRotate(to_back=True), TripleRotate(to_back=False)
+
+
+def _neighbors(word: str) -> Iterator[tuple[str, int | TripleRotate, int]]:
+    """Deterministic move enumeration, as (next word, i, j): the pair
+    exchanges at windows i < j in ascending order, then the two rotations,
+    which come as i = the TripleRotate and j = 0.  No move object is built
+    per edge: ``similar`` builds the exchanges of the path it returns."""
     for i in range(1, len(word)):
         x, y = word[i - 1], word[i]
         if x != y:
             for j in _windows(word, y + x, i + 2):
-                yield PairExchange(i=i, j=j), _reverse(word, i, j)
+                yield _reverse(word, i, j), i, j
     if len(word) >= 3:
         if len(set(word[:3])) == 3:
-            yield TripleRotate(to_back=True), word[3:] + word[:3]
+            yield word[3:] + word[:3], _TO_BACK, 0
         if len(set(word[-3:])) == 3:
-            yield TripleRotate(to_back=False), word[-3:] + word[:-3]
+            yield word[-3:] + word[:-3], _TO_FRONT, 0
 
 
 def similar(w1: str, w2: str, budget: int = DEFAULT_BUDGET) -> SimilarityResult:
@@ -364,36 +363,34 @@ def similar(w1: str, w2: str, budget: int = DEFAULT_BUDGET) -> SimilarityResult:
             path=MovePath(start=w1, moves=(), end=w2),
             explored=1,
         )
-    parent: dict[str, tuple[str, Move]] = {}
-    seen = {w1}
+    # every word seen, mapped to the word and the (i, j) it was reached by
+    parent: dict[str, tuple[str, int | TripleRotate, int] | None] = {w1: None}
     queue = deque([w1])
     while queue:
-        if len(seen) > budget:
+        if len(parent) > budget:
             return SimilarityResult(
-                outcome=OUTCOME_BUDGET_EXCEEDED, path=None, explored=len(seen)
+                outcome=OUTCOME_BUDGET_EXCEEDED, path=None, explored=len(parent)
             )
         current = queue.popleft()
-        for move, nxt in _neighbor_moves(current):
-            if nxt in seen:
+        for nxt, i, j in _neighbors(current):
+            if nxt in parent:
                 continue
-            seen.add(nxt)
-            parent[nxt] = (current, move)
+            parent[nxt] = (current, i, j)
             if nxt == w2:
                 moves: list[Move] = []
                 node = nxt
                 while node != w1:
-                    prev, mv = parent[node]
-                    moves.append(mv)
-                    node = prev
+                    node, i, j = parent[node]
+                    moves.append(PairExchange(i=i, j=j) if j else i)
                 moves.reverse()
                 return SimilarityResult(
                     outcome=OUTCOME_FOUND,
                     path=MovePath(start=w1, moves=tuple(moves), end=w2),
-                    explored=len(seen),
+                    explored=len(parent),
                 )
             queue.append(nxt)
     return SimilarityResult(
-        outcome=OUTCOME_NOT_SIMILAR, path=None, explored=len(seen)
+        outcome=OUTCOME_NOT_SIMILAR, path=None, explored=len(parent)
     )
 
 
@@ -416,7 +413,7 @@ def similarity_class(
         if len(seen) > budget:
             return frozenset(seen), False
         current = queue.popleft()
-        for _, nxt in _neighbor_moves(current):
+        for nxt, _, _ in _neighbors(current):
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)

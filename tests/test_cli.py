@@ -71,6 +71,7 @@ GOLDEN = [
         0,
         '{"irreducible":false,"witness_split":9}\n',
     ),
+    (["irreducible", "ACBBACCBA", "--json"], 0, '{"irreducible":true,"witness_split":null}\n'),
     (
         ["construct", "--n", "7"],
         0,
@@ -149,6 +150,13 @@ GOLDEN = [
         ["verify-fair", "--n", "2", "--json"],
         0,
         "sha256:1eb06863adb57bf47e75da2935b2606759f4e88747807428a088c96a8017a68d",
+    ),
+    (
+        ["verify-fair", "--n", "3", "--json"],
+        0,
+        '{"n":3,"fair_words_found":0,"parity_ok":true,"reachable_same_perm":0,'
+        '"reachable_mixed_perm":0,"not_reachable_same_perm":0,"not_reachable_mixed_perm":0,'
+        '"unresolved_same_perm":0,"unresolved_mixed_perm":0}\n',
     ),
     (
         ["similar", "AABBCCCCBBAA", "ABCCBAABCCBA"],
@@ -370,14 +378,20 @@ class TestEnumerateOut:
         # the printed JSON equals the file contents, modulo whitespace
         assert json.loads(out) == json.loads(path.read_text())
 
-    @pytest.mark.parametrize("target", ["missing/dir/n2.json", "existing/"])
+    @pytest.mark.parametrize(
+        "target", ["missing/dir/n2.json", "existing/", "existing", "/no/such/dir/x.json"]
+    )
     def test_unwritable_out_exits_one(self, target, tmp_path):
         (tmp_path / "existing").mkdir()
-        argv = ["enumerate", "--n", "2", "--out", f"{tmp_path}/{target}"]
+        path = target if os.path.isabs(target) else f"{tmp_path}/{target}"
+        argv = ["enumerate", "--n", "2", "--out", path]
         for mode in ([], ["--json"]):
             code, out, err = run_cli(argv + mode)
             assert (code, out) == (1, "")
             assert err.startswith("error: [Errno ") and err.count("\n") == 1
+            # the message names the path given, not the temporary file
+            assert err.endswith(f": {path!r}\n")
+            assert str(os.getpid()) not in err and ".tmp" not in err
         assert [p.name for p in tmp_path.rglob("*")] == ["existing"]
 
     def test_cache_dir_env(self, tmp_path, monkeypatch):
@@ -447,16 +461,27 @@ IMPORT_SCOPE = [
     (["verify-fair", "--n", "2"], {"core", "enumeration", "rewriting"}),
 ]
 
-_LOADED = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('ntdice.'))))"
+# Modules no ntdice process may load: ``dataclasses`` pulls in ``inspect``,
+# ``ast``, ``dis`` and ``tokenize``, several times the cost of ``ntdice.core``.
+HEAVY = {"dataclasses", "inspect"}
 
 
 def _loaded_in_fresh_process(code, argv, tmp_path):
+    """The ntdice modules a fresh process running code loads, and the other
+    modules it loads beyond those present before its first line runs: the
+    module set of ``python -c pass`` in the same environment, so a module
+    that ``site`` loads is never counted."""
     src = Path(ntdice.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys\n_startup = set(sys.modules)\n" + code + (
+        "\nprint(json.dumps([sorted(m for m in sys.modules if m.startswith('ntdice.')),"
+        " sorted(set(sys.modules) - _startup)]))"
+    )
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    ours, added = json.loads(proc.stdout.splitlines()[-1])
+    return set(ours), set(added)
 
 
 @pytest.mark.parametrize("argv,modules", IMPORT_SCOPE, ids=[row[0][0] for row in IMPORT_SCOPE])
@@ -464,10 +489,11 @@ def test_subcommand_imports_only_its_modules(argv, modules, tmp_path):
     code = (
         "import contextlib, io, json, sys\nimport ntdice.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert ntdice.cli.main(sys.argv[1:]) == 0\n" + _LOADED
+        "    assert ntdice.cli.main(sys.argv[1:]) == 0\n"
     )
-    loaded = _loaded_in_fresh_process(code, argv, tmp_path)
-    assert loaded == {"ntdice.cli"} | {f"ntdice.{name}" for name in modules}
+    ours, added = _loaded_in_fresh_process(code, argv, tmp_path)
+    assert ours == {"ntdice.cli"} | {f"ntdice.{name}" for name in modules}
+    assert not HEAVY & added
 
 
 def test_import_scope_covers_every_subcommand():
@@ -475,4 +501,5 @@ def test_import_scope_covers_every_subcommand():
 
 
 def test_bare_package_import_loads_no_submodule(tmp_path):
-    assert _loaded_in_fresh_process("import json, sys\nimport ntdice\n" + _LOADED, [], tmp_path) == set()
+    ours, added = _loaded_in_fresh_process("import json, sys\nimport ntdice\n", [], tmp_path)
+    assert ours == set() and not HEAVY & added

@@ -481,6 +481,15 @@ class TestSimilar:
         assert exhausted
         assert cls == {"CBABACACB", "BACACBCBA", "ACBCBABAC"}
 
+    def test_path_holds_exchange_and_rotation_records(self):
+        # the search keeps bare window pairs per edge and builds the move
+        # records of the returned path only
+        path = similar("ABCCBAABCCBA", "ACBABCCBABCA").path
+        assert path.moves == (PairExchange(1, 5), PairExchange(2, 4), TripleRotate(True))
+        assert [type(m) for m in path.moves] == [PairExchange, PairExchange, TripleRotate]
+        assert path.replay()[-1] == "ACBABCCBABCA"
+        assert similar("ABCCBA", "CBAABC").path.moves == (TripleRotate(to_back=True),)
+
     def test_shortest_path_is_deterministic(self):
         a = similar("AABBCCCCBBAA", "ABCCBAABCCBA")
         b = similar("AABBCCCCBBAA", "ABCCBAABCCBA")
