@@ -17,9 +17,9 @@ from typing import NamedTuple
 from .core import (
     DomainError,
     PairCounts,
-    classify,
     pair_counts,
     require_complete,
+    verdict_from_counts,
 )
 
 
@@ -87,20 +87,16 @@ def is_irreducible(word: str) -> IrreducibilityReport:
     A word is reducible when some proper prefix and the matching suffix
     are both balanced and non-transitive; the first witness in increasing
     prefix length is returned.  One scan keeps the prefix's letter tallies
-    and win counts.  Only a prefix with m letters of each kind can qualify,
-    and by the concatenation law its suffix has the word's counts minus the
-    prefix's minus m*(n - m), so every split is decided by integer
-    comparisons in O(L) total.
+    and win counts, records each balanced non-transitive prefix (m letters
+    of each kind) and ends with the word's own counts; by the concatenation
+    law a prefix's suffix has those minus the prefix's minus m*(n - m), so
+    every split is decided by integer comparisons in O(L) total.
     """
-    verdict = classify(word)
-    if not (verdict.balanced and verdict.nontransitive):
-        raise DomainError(
-            "irreducibility is defined only for balanced non-transitive words"
-        )
-    n, total = verdict.counts.n, verdict.counts.ab
+    n = require_complete(word)
     na = nb = nc = 0
     ab = bc = ca = 0
-    for pos, ch in enumerate(word[:-1], start=1):
+    splits = []
+    for pos, ch in enumerate(word, start=1):
         if ch == "A":
             ab += nb
             na += 1
@@ -110,11 +106,16 @@ def is_irreducible(word: str) -> IrreducibilityReport:
         else:
             ca += na
             nc += 1
-        m = na
-        if not (m == nb == nc and ab == bc == ca and 2 * ab > m * m):
-            continue
-        # the word and the prefix are balanced, so the suffix is too
-        if 2 * (total - ab - m * (n - m)) > (n - m) ** 2:
+        if na == nb == nc and ab == bc == ca and 2 * ab > na * na:
+            splits.append((pos, na, ab))
+    verdict = verdict_from_counts(PairCounts(n=n, ab=ab, bc=bc, ca=ca))
+    if not (verdict.balanced and verdict.nontransitive):
+        raise DomainError(
+            "irreducibility is defined only for balanced non-transitive words"
+        )
+    # balanced word and prefix give a balanced suffix; the empty one fails
+    for pos, m, prefix in splits:
+        if 2 * (ab - prefix - m * (n - m)) > (n - m) ** 2:
             return IrreducibilityReport(irreducible=False, witness_split=pos)
     return IrreducibilityReport(irreducible=True, witness_split=None)
 

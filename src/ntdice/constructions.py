@@ -118,12 +118,9 @@ STAGES = (STAGE_UNMIXED_FAIR, STAGE_MIXED_FAIR, STAGE_SHIFTED)
 
 def _block_params(n: int) -> tuple[int, int, int]:
     """Return (p, h, c): block width p = n//6, half h = n//2, c = h - 3p."""
-    if n < 6 or n % 2 or n % 6 not in (0, 2, 4):
-        raise DomainError(
-            f"staged words exist for even n >= 6 only, got n={n}"
-        )
-    p = n // 6
-    h = n // 2
+    if n < 6 or n % 2:
+        raise DomainError(f"staged words exist for even n >= 6 only, got n={n}")
+    p, h = n // 6, n // 2
     return p, h, h - 3 * p
 
 
@@ -232,11 +229,13 @@ def _paired_cb_flip(word: str, left: int, moves: list[PairExchange]) -> str | No
     """Reverse the CB window at 0-based left cell, paired with the nearest
     disjoint BC window (ties to the smaller index), and record the exchange.
     Returns the flipped word, or None when no complementary window exists."""
-    near = [c for c in (word.rfind("BC", 0, left), word.find("BC", left + 2)) if c >= 0]
-    if not near:
+    before, after = word.rfind("BC", 0, left), word.find("BC", left + 2)
+    if after < 0 or 0 <= before and 2 * left <= before + after:
+        lo, hi = before + 1, left + 1
+    else:
+        lo, hi = left + 1, after + 1
+    if lo < 1:  # no BC window on either side
         return None
-    comp = min(near, key=lambda c: (abs(c - left), c))
-    lo, hi = sorted((left + 1, comp + 1))
     moves.append(PairExchange(i=lo, j=hi))
     return _reverse(word, lo, hi)
 
@@ -289,7 +288,8 @@ def optimize_max_prob(n: int) -> OptimizerReport:
     while applied < needed:
         move = next(_shift_sites(word), None)
         if move is not None:
-            word = apply_move(word, move)
+            # a shift permutes letters, so the word stays complete
+            word = apply_move(word, move, require_completeness=False)
             moves.append(move)
             applied += 1
             continue

@@ -214,15 +214,14 @@ def _windows(word: str, pattern: str, start: int = 1) -> Iterator[int]:
 
 def _shift_sites(word: str) -> Iterator[TripleShift]:
     """Pairwise-disjoint AB/BC/CA window triples, yielded lazily in
-    lexicographic (i, j, k) order, so taking the first site costs three
-    str.find scans rather than a listing of every triple."""
-    bc_at = list(_windows(word, "BC"))
-    ca_at = list(_windows(word, "CA"))
+    lexicographic (i, j, k) order: three nested str.find walks, so taking
+    the first site stops at the first disjoint triple rather than listing
+    every window."""
     for i in _windows(word, "AB"):
-        for j in bc_at:
+        for j in _windows(word, "BC"):
             if abs(i - j) < 2:
                 continue
-            for k in ca_at:
+            for k in _windows(word, "CA"):
                 if abs(i - k) < 2 or abs(j - k) < 2:
                     continue
                 yield TripleShift(i=i, j=j, k=k)

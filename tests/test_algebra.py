@@ -12,6 +12,7 @@ from ntdice import (
     EnumFilter,
     IncompleteWordError,
     IrreducibilityReport,
+    WordFormatError,
     classify,
     combined_probability,
     concat,
@@ -158,6 +159,22 @@ class TestIrreducibility:
     def test_rejects_non_qualifying_words(self):
         with pytest.raises(DomainError):
             is_irreducible("ABCCBA")  # fair, not non-transitive
+
+    def test_error_contract(self):
+        transitive = next(w for w in _balanced_words(3) if 2 * pair_counts(w).ab < 9)
+        not_bnt = "irreducibility is defined only for balanced non-transitive words"
+        cases = [
+            ("", DomainError, "empty word has no win probabilities"),
+            ("AB", IncompleteWordError, "incomplete word: counts 1,1,0"),
+            ("ABX", WordFormatError, "illegal character 'X' at position 3"),
+            ("ABCCBA", DomainError, not_bnt),
+            (transitive, DomainError, not_bnt),
+        ]
+        for word, error, message in cases:
+            with pytest.raises(error) as caught:
+                is_irreducible(word)
+            assert type(caught.value) is error, word
+            assert str(caught.value) == message, word
 
     def test_witness_is_self_certifying(self):
         word = construct_irreducible(3) + construct_irreducible(4)

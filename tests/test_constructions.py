@@ -534,6 +534,29 @@ class TestBounds:
         assert not certify_root_monotonicity(10)
 
 
+N12_AT_ONE_NINTH = "AAAACCCCCCBCBBBBBBBBBBAAAAAAAACCCCCB"
+N13_PAST_ONE_NINTH = "AAAAACCCCCCCCBBBBBBBBBBBBBAAAAAAACACCCC"
+
+
+class TestOneNinthCounterexamples:
+    """1/9 is not a bound on the excess: a 12-sided word reaches 1/2 + 1/9
+    exactly and a 13-sided one passes it; both are irreducible."""
+
+    @pytest.mark.parametrize(
+        "word,n,count", [(N12_AT_ONE_NINTH, 12, 88), (N13_PAST_ONE_NINTH, 13, 104)]
+    )
+    def test_counts_and_irreducibility(self, word, n, count):
+        verdict = classify(word)
+        assert verdict.counts == (n, count, count, count)
+        assert verdict.balanced and verdict.nontransitive
+        assert is_irreducible(word) == (True, None)
+
+    def test_excess_meets_and_passes_one_ninth(self):
+        bound = Fraction(1, 2) + Fraction(1, 9)
+        assert classify(N12_AT_ONE_NINTH).p_ab == bound
+        assert classify(N13_PAST_ONE_NINTH).p_ab == Fraction(8, 13) > bound
+
+
 class TestReferenceTables:
     def test_probability_formula_on_published_tables(self):
         for dice in REFERENCE_DICE_TABLES:

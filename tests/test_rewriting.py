@@ -33,6 +33,8 @@ from ntdice.rewriting import (
     move_to_json,
     two_letter_wins,
     _reverse,
+    _shift_sites,
+    _windows,
 )
 
 from conftest import PROPERTY, complete_words, random_complete_word
@@ -138,6 +140,32 @@ class TestFindShiftSites:
             and min(abs(i - j), abs(i - k), abs(j - k)) >= 2
         ]
         assert find_shift_sites(word) == brute
+
+    @seed(20208)
+    @PROPERTY
+    @given(complete_words(10))
+    def test_lazy_walk_matches_reference_property(self, word):
+        # draws on n <= 1 sides, and many on 2, have no site at all
+        reference = reference_shift_sites(word)
+        assert find_shift_sites(word) == reference
+        assert next(_shift_sites(word), None) == next(iter(reference), None)
+
+
+def reference_shift_sites(word):
+    """The eager site walk the nested lazy one replaced: every BC and CA
+    window listed up front, then the disjoint triples in (i, j, k) order."""
+    bc_at = list(_windows(word, "BC"))
+    ca_at = list(_windows(word, "CA"))
+    sites = []
+    for i in _windows(word, "AB"):
+        for j in bc_at:
+            if abs(i - j) < 2:
+                continue
+            for k in ca_at:
+                if abs(i - k) < 2 or abs(j - k) < 2:
+                    continue
+                sites.append(TripleShift(i=i, j=j, k=k))
+    return sites
 
 
 class TestMoveInvariance:
