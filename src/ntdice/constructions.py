@@ -8,7 +8,7 @@ Three families live here:
   approaches 1/2, showing the lower bound is sharp;
 * a staged block family for even n >= 6 that a greedy shift optimizer
   drives toward the largest probability this construction can reach,
-  ending below 1/2 + 1/9.
+  tending to 1/2 + (15 - sqrt(153))/24.
 
 All decisions are made in integer or rational arithmetic.  The square
 roots appearing in the closed-form limits are handled symbolically as
@@ -171,25 +171,18 @@ def max_shift_rounds(n: int) -> int:
     """Largest number m of extra shift rounds the block family supports.
 
     Each round relocates one B forward and one C backward and then applies
-    n/2 triple shifts; the middle region's exchange capacity bounds m via
-    a residue-dependent quadratic inequality, decided here by integer
-    evaluation only (no square roots):
+    n/2 triple shifts; with c = h - 3p (0, 1 or 2 for n = 6p, 6p+2, 6p+4),
+    the middle region's exchange capacity bounds m by
 
-    * n = 6p:    m^2 - 13p*m + 4p^2            >= 0
-    * n = 6p+2:  m^2 - (13p+4)*m + 4p^2-p-1    >= 0
-    * n = 6p+4:  m^2 - (13p+8)*m + 4p^2-2p-4   >= 0
+        m^2 - (13p + 4c)*m + 4p^2 - c*p - c^2 >= 0,
 
-    The polynomial decreases on 0 <= m <= 2p, so the answer is the floor of
+    decided here by integer evaluation only (no square roots).  The
+    polynomial decreases on 0 <= m <= 2p, so the answer is the floor of
     its smaller root (lin - sqrt(lin^2 - 4*const))/2, taken with math.isqrt
     and capped at 2p; m = 0 (do nothing) is always admissible.
     """
     p, _, c = _block_params(n)
-    if c == 0:
-        lin, const = 13 * p, 4 * p * p
-    elif c == 1:
-        lin, const = 13 * p + 4, 4 * p * p - p - 1
-    else:
-        lin, const = 13 * p + 8, 4 * p * p - 2 * p - 4
+    lin, const = 13 * p + 4 * c, (4 * p - c) * p - c * c
     if const < 0:  # even one round is infeasible
         return 0
     disc = lin * lin - 4 * const
@@ -385,27 +378,21 @@ LIMIT_EXCESS = SurdValue(a=15, b=-1, c=24, d=153)
 LIMIT_EXCESS_VARIANT_154 = SurdValue(a=15, b=-1, c=24, d=154)
 LIMIT_EXCESS_SHORTENED = SurdValue(a=13, b=-1, c=24, d=153)
 
-EXCESS_BOUND = Fraction(1, 9)
-
 
 class BoundReport(NamedTuple):
-    """Exact limit constants, comparison verdicts, and errata flags."""
+    """Exact limit constants and errata flags."""
 
     limit_excess: SurdValue
     limit_excess_variant_154: SurdValue
     limit_excess_shortened: SurdValue
-    bound: Fraction
-    below_bound: dict[str, bool]
     errata: tuple[str, ...]
     monotone_certified_upto: int
 
     def to_json(self) -> dict:
         return {
-            "bound": str(self.bound),
             "limit_excess": self.limit_excess.to_json(),
             "limit_excess_variant_154": self.limit_excess_variant_154.to_json(),
             "limit_excess_shortened": self.limit_excess_shortened.to_json(),
-            "below_bound": dict(self.below_bound),
             "errata": list(self.errata),
             "monotone_certified_upto": self.monotone_certified_upto,
         }
@@ -416,10 +403,10 @@ class BoundReport(NamedTuple):
 _ROOT_GROWTH = ((306, 92, 153, 108, 20), (306, 200, 153, 216, 80))
 
 
-def certify_root_monotonicity(limit: int) -> bool:
+def certify_root_monotonicity() -> bool:
     """Certify by integer arithmetic that the round-count root expressions
     13p+4 - sqrt(153p^2+108p+20) and 13p+8 - sqrt(153p^2+216p+80) increase
-    for p = 1..limit.
+    for every p >= 1.
 
     Each step reduces to an inequality between squared integers:
     growth at p holds iff (306p + 92)^2 < 676*(153p^2 + 108p + 20) for the
@@ -427,7 +414,7 @@ def certify_root_monotonicity(limit: int) -> bool:
     the second.  The right side minus the left is a quadratic in p
     (9792p^2 + 16704p + 5056 and 9792p^2 + 23616p + 14080); with every
     coefficient positive it is positive at every p >= 1, so one look at
-    the coefficients certifies every limit at once.
+    the coefficients certifies every p at once.
     """
     for s, t, u, v, w in _ROOT_GROWTH:
         coefficients = (676 * u - s * s, 676 * v - 2 * s * t, 676 * w - t * t)
@@ -437,16 +424,11 @@ def certify_root_monotonicity(limit: int) -> bool:
 
 
 def bound_report(monotone_limit: int = 1_000_000) -> BoundReport:
-    """Evaluate the family's limit constants exactly and compare to 1/9."""
+    """The family's exact limit constants, their errata and the root-growth
+    certificate.  The certificate holds for every p, so monotone_limit is
+    only echoed as monotone_certified_upto (0 if the certificate fails)."""
     if monotone_limit < 0:
         raise DomainError(f"monotone limit must be >= 0, got {monotone_limit}")
-    below = {
-        "limit_excess": LIMIT_EXCESS.less_than(EXCESS_BOUND),
-        "limit_excess_variant_154": LIMIT_EXCESS_VARIANT_154.less_than(
-            EXCESS_BOUND
-        ),
-        "limit_excess_shortened": LIMIT_EXCESS_SHORTENED.less_than(EXCESS_BOUND),
-    }
     errata = (
         "a sqrt(154) variant of the n=6p limit constant disagrees with the "
         "discriminant of m^2 - 13p*m + 4p^2, which is 13^2 - 16 = 153; "
@@ -455,13 +437,11 @@ def bound_report(monotone_limit: int = 1_000_000) -> BoundReport:
         "the full limit 1/12 + (13 - sqrt(153))/24 = (15 - sqrt(153))/24; "
         "both values are reported",
     )
-    monotone_ok = certify_root_monotonicity(monotone_limit)
+    monotone_ok = certify_root_monotonicity()
     return BoundReport(
         limit_excess=LIMIT_EXCESS,
         limit_excess_variant_154=LIMIT_EXCESS_VARIANT_154,
         limit_excess_shortened=LIMIT_EXCESS_SHORTENED,
-        bound=EXCESS_BOUND,
-        below_bound=below,
         errata=errata,
         monotone_certified_upto=monotone_limit if monotone_ok else 0,
     )

@@ -343,6 +343,31 @@ def _neighbors(word: str) -> Iterator[tuple[str, int | TripleRotate, int]]:
             yield word[-3:] + word[:-3], _TO_FRONT, 0
 
 
+def _search(
+    seeds: Iterable[str], budget: int, target: str | None = None
+) -> tuple[dict[str, tuple[str, int | TripleRotate, int] | None], bool]:
+    """Breadth-first search from the seeds, expanding moves in canonical
+    order and stopping once target is seen.
+
+    Returns (parent, exhausted): parent maps every word seen to the word and
+    the (i, j) it was reached by, or None for a seed; exhausted is False
+    when the state budget stopped the search with words left to expand.
+    """
+    parent = dict.fromkeys(seeds)
+    queue = deque(parent)
+    while queue and target not in parent:
+        if len(parent) > budget:
+            return parent, False
+        current = queue.popleft()
+        for nxt, i, j in _neighbors(current):
+            if nxt not in parent:
+                parent[nxt] = (current, i, j)
+                if nxt == target:
+                    break
+                queue.append(nxt)
+    return parent, not queue
+
+
 def similar(w1: str, w2: str, budget: int = DEFAULT_BUDGET) -> SimilarityResult:
     """Search for a count-preserving rewrite path from w1 to w2.
 
@@ -356,40 +381,20 @@ def similar(w1: str, w2: str, budget: int = DEFAULT_BUDGET) -> SimilarityResult:
     require_complete(w2)
     if len(w1) != len(w2):
         raise DomainError(f"length mismatch: {len(w1)} vs {len(w2)}")
-    if w1 == w2:
-        return SimilarityResult(
-            outcome=OUTCOME_FOUND,
-            path=MovePath(start=w1, moves=(), end=w2),
-            explored=1,
-        )
-    # every word seen, mapped to the word and the (i, j) it was reached by
-    parent: dict[str, tuple[str, int | TripleRotate, int] | None] = {w1: None}
-    queue = deque([w1])
-    while queue:
-        if len(parent) > budget:
-            return SimilarityResult(
-                outcome=OUTCOME_BUDGET_EXCEEDED, path=None, explored=len(parent)
-            )
-        current = queue.popleft()
-        for nxt, i, j in _neighbors(current):
-            if nxt in parent:
-                continue
-            parent[nxt] = (current, i, j)
-            if nxt == w2:
-                moves: list[Move] = []
-                node = nxt
-                while node != w1:
-                    node, i, j = parent[node]
-                    moves.append(PairExchange(i=i, j=j) if j else i)
-                moves.reverse()
-                return SimilarityResult(
-                    outcome=OUTCOME_FOUND,
-                    path=MovePath(start=w1, moves=tuple(moves), end=w2),
-                    explored=len(parent),
-                )
-            queue.append(nxt)
+    parent, exhausted = _search((w1,), budget, target=w2)
+    if w2 not in parent:
+        outcome = OUTCOME_NOT_SIMILAR if exhausted else OUTCOME_BUDGET_EXCEEDED
+        return SimilarityResult(outcome=outcome, path=None, explored=len(parent))
+    moves: list[Move] = []
+    node = w2
+    while node != w1:
+        node, i, j = parent[node]
+        moves.append(PairExchange(i=i, j=j) if j else i)
+    moves.reverse()
     return SimilarityResult(
-        outcome=OUTCOME_NOT_SIMILAR, path=None, explored=len(parent)
+        outcome=OUTCOME_FOUND,
+        path=MovePath(start=w1, moves=tuple(moves), end=w2),
+        explored=len(parent),
     )
 
 
@@ -406,14 +411,5 @@ def similarity_class(
     seeds = list(seeds)
     for w in seeds:
         require_complete(w)
-    seen: set[str] = set(seeds)
-    queue = deque(seeds)
-    while queue:
-        if len(seen) > budget:
-            return frozenset(seen), False
-        current = queue.popleft()
-        for nxt, _, _ in _neighbors(current):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen), True
+    parent, exhausted = _search(seeds, budget)
+    return frozenset(parent), exhausted

@@ -75,15 +75,14 @@ SAMPLES = [
      "OptimizerReport(n=8, p=1, stage_words={'shifted': 'AB'}, rounds=0, "
      "target_excess=Fraction(1, 16), achieved=PairCounts(n=8, ab=36, bc=36, ca=36), "
      "moves=MovePath(start='AB', moves=(), end='AB'), gap=Fraction(0, 1))"),
-    (BoundReport, (SURD, SURD, SURD, Fraction(1, 9), {"limit_excess": True}, ("note",), 100),
+    (BoundReport, (SURD, SURD, SURD, ("note",), 100),
      f"BoundReport(limit_excess={SURD!r}, limit_excess_variant_154={SURD!r}, "
-     f"limit_excess_shortened={SURD!r}, bound=Fraction(1, 9), "
-     "below_bound={'limit_excess': True}, errata=('note',), monotone_certified_upto=100)"),
+     f"limit_excess_shortened={SURD!r}, errata=('note',), monotone_certified_upto=100)"),
     (EnumStats, (2, 90, 6, 0, 6, None, (), {Fraction(1, 2): 6}),
      "EnumStats(n=2, total_words=90, count_balanced=6, count_balanced_nontransitive=0, "
      "count_fair=6, max_prob=None, max_witnesses=(), histogram={Fraction(1, 2): 6})"),
 ]
-UNHASHABLE = {OptimizerReport, BoundReport, EnumStats}
+UNHASHABLE = {OptimizerReport, EnumStats}
 
 params = pytest.mark.parametrize(
     "cls,values,text", SAMPLES, ids=[cls.__name__ for cls, _, _ in SAMPLES]

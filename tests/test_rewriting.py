@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+from collections import deque
 
 import pytest
 from hypothesis import given, seed
@@ -22,16 +23,18 @@ from ntdice import (
     similar,
     similarity_class,
 )
-from ntdice.core import DEFAULT_BUDGET
+from ntdice.core import DEFAULT_BUDGET, require_complete
 from ntdice.rewriting import (
     MoveError,
     NormalizationError,
     OUTCOME_BUDGET_EXCEEDED,
     OUTCOME_FOUND,
     OUTCOME_NOT_SIMILAR,
+    SimilarityResult,
     move_from_json,
     move_to_json,
     two_letter_wins,
+    _neighbors,
     _reverse,
     _shift_sites,
     _windows,
@@ -549,3 +552,78 @@ class TestSimilar:
         assert exhausted
         assert cls == frozenset(words)
         assert similar(SEED4, DENSE4).outcome == OUTCOME_FOUND
+
+
+def reference_similar(w1, w2, budget=DEFAULT_BUDGET):
+    """The search ``similar`` ran before it shared one BFS with
+    ``similarity_class``: its own queue loop, budget check and w1 == w2
+    early return."""
+    require_complete(w1)
+    require_complete(w2)
+    if w1 == w2:
+        return SimilarityResult(OUTCOME_FOUND, MovePath(w1, (), w2), 1)
+    parent = {w1: None}
+    queue = deque([w1])
+    while queue:
+        if len(parent) > budget:
+            return SimilarityResult(OUTCOME_BUDGET_EXCEEDED, None, len(parent))
+        current = queue.popleft()
+        for nxt, i, j in _neighbors(current):
+            if nxt in parent:
+                continue
+            parent[nxt] = (current, i, j)
+            if nxt == w2:
+                moves = []
+                node = nxt
+                while node != w1:
+                    node, i, j = parent[node]
+                    moves.append(PairExchange(i=i, j=j) if j else i)
+                moves.reverse()
+                path = MovePath(start=w1, moves=tuple(moves), end=w2)
+                return SimilarityResult(OUTCOME_FOUND, path, len(parent))
+            queue.append(nxt)
+    return SimilarityResult(OUTCOME_NOT_SIMILAR, None, len(parent))
+
+
+def reference_similarity_class(seeds, budget=DEFAULT_BUDGET):
+    """The class search ``similarity_class`` ran before the shared BFS."""
+    seeds = list(seeds)
+    for w in seeds:
+        require_complete(w)
+    seen = set(seeds)
+    queue = deque(seeds)
+    while queue:
+        if len(seen) > budget:
+            return frozenset(seen), False
+        current = queue.popleft()
+        for nxt, _, _ in _neighbors(current):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return frozenset(seen), True
+
+
+class TestSearchMatchesReference:
+    def test_random_words_and_budgets(self):
+        # w2 is a random walk from w1 for half the draws (mostly found, at
+        # any depth) and an unrelated word for the rest (mostly refuted);
+        # the class seeds may repeat a word
+        rng = random.Random(20)
+        outcomes = set()
+        for _ in range(120):
+            n = rng.randint(0, 4)
+            w1 = w2 = random_complete_word(rng, n)
+            if rng.random() < 0.5:
+                for _ in range(rng.randint(0, 6)):
+                    w2 = rng.choice([nxt for nxt, _, _ in _neighbors(w2)] or [w2])
+            else:
+                w2 = random_complete_word(rng, n)
+            seeds = [w1] + [random_complete_word(rng, n) for _ in range(rng.randint(0, 2))]
+            seeds += rng.sample(seeds, rng.randint(0, 1))
+            for budget in (1, 3, 50, DEFAULT_BUDGET):
+                got = similar(w1, w2, budget)
+                assert got == reference_similar(w1, w2, budget), (w1, w2, budget)
+                outcomes.add(got.outcome)
+                want = reference_similarity_class(seeds, budget)
+                assert similarity_class(seeds, budget) == want, (seeds, budget)
+        assert outcomes == {OUTCOME_FOUND, OUTCOME_NOT_SIMILAR, OUTCOME_BUDGET_EXCEEDED}
