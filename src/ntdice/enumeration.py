@@ -504,11 +504,15 @@ def load_stats(path: str | os.PathLike) -> EnumStats:
             f"expected {STATS_FORMAT_VERSION}"
         )
     try:
-        if not all(isinstance(word, str) for word in obj["max_witnesses"]):
-            raise TypeError("witnesses must be words")
+        witnesses = obj["max_witnesses"]
+        if type(witnesses) is not list or not all(type(w) is str for w in witnesses):
+            raise TypeError("witnesses must be a list of words")
         max_prob = obj["max_prob"]
         if max_prob is not None and not isinstance(max_prob, str):
             raise TypeError(f"max_prob must be a string or null, got {max_prob!r}")
+        for text in [*obj["histogram"], *([max_prob] if max_prob else [])]:
+            if str(Fraction(text)) != text:
+                raise ValueError(f"{text!r} is not a fraction as the writer spells it")
         counts = {
             field: _exact_int(obj[field], field)
             for field in ("n", "total_words", "count_balanced",
@@ -517,7 +521,7 @@ def load_stats(path: str | os.PathLike) -> EnumStats:
         stats = EnumStats(
             **counts,
             max_prob=Fraction(max_prob) if max_prob is not None else None,
-            max_witnesses=tuple(obj["max_witnesses"]),
+            max_witnesses=tuple(witnesses),
             histogram={
                 Fraction(k): _exact_int(v, f"histogram[{k!r}]")
                 for k, v in obj["histogram"].items()

@@ -345,13 +345,13 @@ def _neighbors(word: str) -> Iterator[tuple[str, int | TripleRotate, int]]:
 
 def _search(
     seeds: Iterable[str], budget: int, target: str | None = None
-) -> tuple[dict[str, tuple[str, int | TripleRotate, int] | None], bool]:
+) -> tuple[dict[str, str | None], bool]:
     """Breadth-first search from the seeds, expanding moves in canonical
     order and stopping once target is seen.
 
-    Returns (parent, exhausted): parent maps every word seen to the word and
-    the (i, j) it was reached by, or None for a seed; exhausted is False
-    when the state budget stopped the search with words left to expand.
+    Returns (parent, exhausted): parent maps every word seen to the word it
+    was first reached from, or None for a seed; exhausted is False when the
+    state budget stopped the search with words left to expand.
     """
     parent = dict.fromkeys(seeds)
     queue = deque(parent)
@@ -359,9 +359,9 @@ def _search(
         if len(parent) > budget:
             return parent, False
         current = queue.popleft()
-        for nxt, i, j in _neighbors(current):
+        for nxt, _, _ in _neighbors(current):
             if nxt not in parent:
-                parent[nxt] = (current, i, j)
+                parent[nxt] = current
                 if nxt == target:
                     break
                 queue.append(nxt)
@@ -388,8 +388,11 @@ def similar(w1: str, w2: str, budget: int = DEFAULT_BUDGET) -> SimilarityResult:
     moves: list[Move] = []
     node = w2
     while node != w1:
-        node, i, j = parent[node]
+        # The search took the first edge from prev to node in canonical order.
+        prev = parent[node]
+        i, j = next((i, j) for nxt, i, j in _neighbors(prev) if nxt == node)
         moves.append(PairExchange(i=i, j=j) if j else i)
+        node = prev
     moves.reverse()
     return SimilarityResult(
         outcome=OUTCOME_FOUND,

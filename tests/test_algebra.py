@@ -141,6 +141,8 @@ class TestCombinedProbability:
     def test_counts_out_of_range(self):
         with pytest.raises(DomainError):
             combined_probability(2, 5, 2, 2)
+        with pytest.raises(DomainError, match="count 5 outside 0..4"):
+            combined_probability(2, 2, 2, 5)
 
 
 class TestIrreducibility:

@@ -110,6 +110,9 @@ class TestDiceWordConversion:
         d = DiceSet(n=2, a=frozenset({1}), b=frozenset({2, 5}), c=frozenset({3, 4}))
         with pytest.raises(DiceSetError, match="die A"):
             word_from_dice(d)
+        empty = DiceSet(n=0, a=frozenset(), b=frozenset(), c=frozenset())
+        with pytest.raises(DiceSetError, match="sides must be positive"):
+            word_from_dice(empty)
 
     def test_round_trip_random(self):
         rng = random.Random(7)

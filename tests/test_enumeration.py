@@ -108,6 +108,11 @@ class TestGeneration:
                 enumerate_words(n)
         with pytest.raises(DomainError, match="long_run"):
             enumerate_words(7)
+        with pytest.raises(DomainError, match="n >= 2"):
+            max_probability(1)
+        for n in (0, 8):
+            with pytest.raises(DomainError, match="supported range"):
+                verify_fair_conjecture(n)
 
     @pytest.mark.parametrize("n", [True, False, 3.0, "3", None])
     @pytest.mark.parametrize(
@@ -425,22 +430,36 @@ class TestFairConjecture:
         )
 
 
+def _unreduced(text):
+    """The fraction text spells, with numerator and denominator doubled."""
+    p, q = Fraction(text).as_integer_ratio()
+    return f"{2 * p}/{2 * q}"
+
+
 class TestStatsCache:
     def test_round_trip(self, tmp_path):
-        stats = enumerate_words(3)
-        path = tmp_path / "n3.json"
-        cache_stats(stats, path)
-        assert load_stats(path) == stats
+        for n in range(1, 6):
+            stats = enumerate_words(n)
+            path = tmp_path / f"n{n}.json"
+            cache_stats(stats, path)
+            assert load_stats(path) == stats
 
     def test_tampered_witness_detected(self, tmp_path):
-        stats = enumerate_words(3)
-        path = tmp_path / "n3.json"
-        cache_stats(stats, path)
-        obj = json.loads(path.read_text())
-        obj["max_witnesses"][0] = "AAABBBCCC"  # counts (0, 0, 9): not balanced
-        path.write_text(json.dumps(obj))
-        with pytest.raises(CacheIntegrityError):
-            load_stats(path)
+        # each tampered word still sorts first, so only the witness
+        # re-check can refuse it
+        path = tmp_path / "stats.json"
+        for n, witness, message in (
+            (3, "AAABBBCCC", "not balanced non-transitive"),  # counts (0, 0, 9)
+            (3, "AAABBBCCD", "invalid"),
+            (3, "ABC", "has 1 sides"),
+            (5, "AABCBCBACCCBBAA", "has probability 13/25"),
+        ):
+            cache_stats(enumerate_words(n), path)
+            obj = json.loads(path.read_text())
+            obj["max_witnesses"][0] = witness
+            path.write_text(json.dumps(obj))
+            with pytest.raises(CacheIntegrityError, match=message):
+                load_stats(path)
 
     def test_version_mismatch_detected(self, tmp_path):
         stats = enumerate_words(2)
@@ -512,12 +531,22 @@ class TestStatsCache:
             ("max_prob", lambda p: [p]),
             ("max_prob", lambda p: "1/0"),
             ("histogram", lambda h: {"1/0": 1}),
+            ("max_witnesses", lambda ws: dict.fromkeys(ws, 1)),
+            ("max_witnesses", "".join),
+            ("max_witnesses", lambda ws: ws[:-1] + [5]),
+            ("max_prob", _unreduced),
+            ("max_prob", lambda p: f" {p}"),
+            ("histogram", lambda h: {_unreduced(k): v for k, v in h.items()}),
+            ("histogram", lambda h: {**h, **{_unreduced(k): v for k, v in h.items()}}),
         ],
         ids=[
             "n-3.9", "n-str", "n-float", "total_words-float", "count_balanced-bool",
             "count_balanced_nontransitive-float", "count_fair-str", "histogram-float-values",
             "histogram-str-values", "histogram-list", "max_prob-float", "max_prob-list",
             "max_prob-zero-denominator", "histogram-zero-denominator",
+            "max_witnesses-object", "max_witnesses-string", "max_witnesses-int-entry",
+            "max_prob-unreduced", "max_prob-padded", "histogram-unreduced-keys",
+            "histogram-merged-keys",
         ],
     )
     def test_field_types_are_strict(self, tmp_path, field, spoil):

@@ -36,6 +36,7 @@ from ntdice.rewriting import (
     two_letter_wins,
     _neighbors,
     _reverse,
+    _search,
     _shift_sites,
     _windows,
 )
@@ -77,10 +78,14 @@ class TestApplyMove:
     def test_overlapping_windows_rejected(self):
         with pytest.raises(MoveError, match="overlap"):
             apply_move("ABCCBA", PairExchange(1, 2))
+        with pytest.raises(MoveError, match="triple-shift windows at 1 and 2 overlap"):
+            apply_move("ABCABC", TripleShift(1, 2, 3))
 
     def test_pattern_mismatch_named_window(self):
         with pytest.raises(MoveError, match="window at 3"):
             apply_move("ABCCBA", PairExchange(3, 5))
+        with pytest.raises(MoveError, match="window at 4 reads CB, expected BA"):
+            apply_move("ABCCBA", PairExchange(1, 4))
 
     def test_out_of_range(self):
         with pytest.raises(MoveError, match="out of range"):
@@ -89,6 +94,8 @@ class TestApplyMove:
     def test_rotate_requires_distinct_block(self):
         with pytest.raises(MoveError, match="distinct"):
             apply_move("AABBCC", TripleRotate(to_back=True))
+        with pytest.raises(MoveError, match="three letters"):
+            apply_move("", TripleRotate(to_back=True), require_completeness=False)
 
     def test_shift_window_patterns_checked(self):
         with pytest.raises(MoveError, match="expected 'BC'"):
@@ -391,6 +398,8 @@ class TestMovePathSerialization:
     def test_json_round_trip(self):
         path = similar("AABBCCCCBBAA", "ABCCBAABCCBA").path
         assert MovePath.from_json(path.to_json()) == path
+        with pytest.raises(MoveError, match="replay ended"):
+            path._replace(end=path.start).replay()
 
     def test_move_kinds(self):
         for move in (
@@ -400,6 +409,11 @@ class TestMovePathSerialization:
             TripleShift(1, 3, 5),
         ):
             assert move_from_json(move_to_json(move)) == move
+        for not_a_move in ((1, 5), "rotate-front-to-back"):
+            with pytest.raises(TypeError, match="not a move"):
+                move_to_json(not_a_move)
+            with pytest.raises(TypeError, match="not a move"):
+                apply_move("ABCCBA", not_a_move)
 
     @pytest.mark.parametrize(
         "obj",
@@ -415,6 +429,7 @@ class TestMovePathSerialization:
             None,
             5,
             "pair-exchange",
+            {"kind": "rotate"},
         ],
     )
     def test_malformed_move_rejected(self, obj):
@@ -513,13 +528,18 @@ class TestSimilar:
         assert cls == {"CBABACACB", "BACACBCBA", "ACBCBABAC"}
 
     def test_path_holds_exchange_and_rotation_records(self):
-        # the search keeps bare window pairs per edge and builds the move
-        # records of the returned path only
+        # the search keeps one word per state; similar reads the move
+        # records of the returned path back off it
         path = similar("ABCCBAABCCBA", "ACBABCCBABCA").path
         assert path.moves == (PairExchange(1, 5), PairExchange(2, 4), TripleRotate(True))
         assert [type(m) for m in path.moves] == [PairExchange, PairExchange, TripleRotate]
         assert path.replay()[-1] == "ACBABCCBABCA"
         assert similar("ABCCBA", "CBAABC").path.moves == (TripleRotate(to_back=True),)
+
+    def test_search_keeps_one_word_per_state(self):
+        parent, exhausted = _search(["ABCCBA" * 2], DEFAULT_BUDGET)
+        assert exhausted and len(parent) > 1
+        assert all(prev is None or prev in parent for prev in parent.values())
 
     def test_shortest_path_is_deterministic(self):
         a = similar("AABBCCCCBBAA", "ABCCBAABCCBA")
