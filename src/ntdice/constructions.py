@@ -427,6 +427,8 @@ def bound_report(monotone_limit: int = 1_000_000) -> BoundReport:
     """The family's exact limit constants, their errata and the root-growth
     certificate.  The certificate holds for every p, so monotone_limit is
     only echoed as monotone_certified_upto (0 if the certificate fails)."""
+    if type(monotone_limit) is not int:
+        raise DomainError(f"monotone limit must be an int, got {monotone_limit!r}")
     if monotone_limit < 0:
         raise DomainError(f"monotone limit must be >= 0, got {monotone_limit}")
     errata = (

@@ -66,7 +66,7 @@ def require_complete(word: str) -> int:
 
 
 # The default and the ceiling of every similarity-search state budget.  A
-# BFS holds about 150 B per state, so this allows about 0.3 GB.
+# BFS holds about 100 B per state, so this allows about 0.2 GB.
 DEFAULT_BUDGET = 2_000_000
 
 

@@ -289,19 +289,20 @@ def _witnesses(n: int, best: int) -> list[str]:
     return found
 
 
-def _build_stats(n: int, hist: dict[int, int]) -> EnumStats:
+def _derive_stats(n: int, hist: dict[int, int], witnesses: tuple[str, ...]) -> EnumStats:
+    """The statistics that n and a histogram of common counts imply, with
+    the given witnesses of the maximum."""
     sq = n * n
-    best = max((v for v in hist if 2 * v > sq), default=-1)
-    count_fair = hist.get(sq // 2, 0) if sq % 2 == 0 else 0
-    count_bnt = sum(cnt for value, cnt in hist.items() if 2 * value > sq)
+    above = [v for v in hist if 2 * v > sq]
+    best = max(above, default=None)
     return EnumStats(
         n=n,
         total_words=total_word_count(n),
         count_balanced=sum(hist.values()),
-        count_balanced_nontransitive=count_bnt,
-        count_fair=count_fair,
-        max_prob=Fraction(best, sq) if best >= 0 else None,
-        max_witnesses=tuple(_witnesses(n, best)) if best >= 0 else (),
+        count_balanced_nontransitive=sum(hist[v] for v in above),
+        count_fair=hist.get(sq // 2, 0) if sq % 2 == 0 else 0,
+        max_prob=Fraction(best, sq) if best is not None else None,
+        max_witnesses=witnesses,
         histogram={Fraction(v, sq): c for v, c in sorted(hist.items())},
     )
 
@@ -332,7 +333,11 @@ def enumerate_words(
             consumer(word, verdict(counts))
 
         _walk(n, filt or EnumFilter(), deliver)
-    return _build_stats(n, _balanced_histogram(n))
+    stats = _derive_stats(n, _balanced_histogram(n), ())
+    if stats.max_prob is None:
+        return stats
+    best = int(stats.max_prob * n * n)
+    return stats._replace(max_witnesses=tuple(_witnesses(n, best)))
 
 
 def max_probability(
@@ -355,12 +360,6 @@ def max_probability(
 # ---------------------------------------------------------------------------
 # Fair-structure verification
 # ---------------------------------------------------------------------------
-
-_PERMS = ("ABC", "ACB", "BAC", "BCA", "CAB", "CBA")
-
-
-def _canonical_blocks() -> list[str]:
-    return [x + y + z + z + y + x for x, y, z in _PERMS]
 
 
 class FairConjectureReport(NamedTuple):
@@ -389,57 +388,55 @@ def verify_fair_conjecture(
 ) -> FairConjectureReport:
     """Census of fair words at n and their similarity to block products.
 
-    Odd n carry no fair words at all (the fair count n^2/2 would not be an
-    integer), so odd n short-circuit with a parity-only report.  Even n
-    must satisfy n <= 4, where the reachable set of the canonical products
-    stays exhaustively searchable.
+    Fair words are counted, not stored: the moves keep counts, so a class
+    seeded by block products holds only fair words.  Odd n carry none (the
+    fair count n^2/2 would not be an integer), so nothing seeds a class.
+    Even n must satisfy n <= 4, where the reachable set of the canonical
+    products stays exhaustively searchable.
     """
     _require_int(n)
     if not 1 <= n <= MAX_SIDES:
         raise DomainError(f"supported range is 1 <= n <= {MAX_SIDES}, got {n}")
     _require_budget(bfs_budget)
-    if n % 2:
-        return FairConjectureReport(
-            n=n,
-            fair_words_found=0,
-            parity_ok=True,
-            reachable_same_perm=0,
-            reachable_mixed_perm=0,
-            not_reachable_same_perm=0,
-            not_reachable_mixed_perm=0,
-            unresolved_same_perm=0,
-            unresolved_mixed_perm=0,
-        )
-    if n > 4:
+    if n % 2 == 0 and n > 4:
         raise DomainError(
             f"similarity verification is exhaustive only up to n=4, got {n}"
         )
 
-    fair_set: set[str] = set()
-    _walk(n, EnumFilter(fair=True), lambda word, _counts: fair_set.add(word))
+    fair_words = 0
 
-    blocks = _canonical_blocks()
-    same_seeds = {block * (n // 2) for block in blocks}
+    def count(_word: str, _counts: Counts) -> None:
+        nonlocal fair_words
+        fair_words += 1
 
-    mixed_seeds = {"".join(p) for p in itertools.product(blocks, repeat=n // 2)}
+    _walk(n, EnumFilter(fair=True), count)
+
+    # The seeds are lists in generation order, so a budget cuts each search
+    # at the same word in every process.
+    same_seeds: list[str] = []
+    mixed_seeds: list[str] = []
+    if n % 2 == 0:  # odd n have no fair word to seed from
+        blocks = [x + y + z + z + y + x for x, y, z in itertools.permutations("ABC")]
+        same_seeds = [block * (n // 2) for block in blocks]
+        mixed_seeds = ["".join(p) for p in itertools.product(blocks, repeat=n // 2)]
 
     from .rewriting import similarity_class
 
     class_same, same_done = similarity_class(same_seeds, bfs_budget)
     class_mixed, mixed_done = similarity_class(mixed_seeds, bfs_budget)
 
-    reach_same = len(fair_set & class_same)
-    reach_mixed = len(fair_set & class_mixed)
+    reach_same = len(class_same)
+    reach_mixed = len(class_mixed)
     return FairConjectureReport(
         n=n,
-        fair_words_found=len(fair_set),
+        fair_words_found=fair_words,
         parity_ok=True,
         reachable_same_perm=reach_same,
         reachable_mixed_perm=reach_mixed,
-        not_reachable_same_perm=(len(fair_set) - reach_same) if same_done else 0,
-        not_reachable_mixed_perm=(len(fair_set) - reach_mixed) if mixed_done else 0,
-        unresolved_same_perm=0 if same_done else len(fair_set) - reach_same,
-        unresolved_mixed_perm=0 if mixed_done else len(fair_set) - reach_mixed,
+        not_reachable_same_perm=(fair_words - reach_same) if same_done else 0,
+        not_reachable_mixed_perm=(fair_words - reach_mixed) if mixed_done else 0,
+        unresolved_same_perm=0 if same_done else fair_words - reach_same,
+        unresolved_mixed_perm=0 if mixed_done else fair_words - reach_mixed,
     )
 
 
@@ -560,25 +557,18 @@ def _check_consistent(stats: EnumStats) -> None:
     for prob, cnt in hist.items():
         if (prob * n * n).denominator != 1 or not 0 <= prob <= 1 or cnt < 1:
             raise CacheIntegrityError(f"histogram entry {prob}: {cnt} impossible at n={n}")
-    half = Fraction(1, 2)
-    above = [prob for prob in hist if prob > half]
-    max_prob = max(above, default=None)
+    implied = _derive_stats(
+        n, {int(prob * n * n): cnt for prob, cnt in hist.items()}, stats.max_witnesses
+    )
     witnesses = list(stats.max_witnesses)
-    for field, stored, implied in (
-        ("total_words", stats.total_words, total_word_count(n)),
-        ("count_balanced", stats.count_balanced, sum(hist.values())),
-        (
-            "count_balanced_nontransitive",
-            stats.count_balanced_nontransitive,
-            sum(hist[prob] for prob in above),
-        ),
-        ("count_fair", stats.count_fair, hist.get(half, 0)),
-        ("max_prob", stats.max_prob, max_prob),
-        ("witness count", len(witnesses), min(WITNESS_CAP, hist.get(max_prob, 0))),
-    ):
-        if stored != implied:
+    checks = [(field, getattr(stats, field), getattr(implied, field))
+              for field in EnumStats._fields]
+    checks.append(
+        ("witness count", len(witnesses), min(WITNESS_CAP, hist.get(stats.max_prob, 0))))
+    for field, stored, want in checks:
+        if stored != want:
             raise CacheIntegrityError(
-                f"{field} is {stored}, but n and the histogram imply {implied}"
+                f"{field} is {stored}, but n and the histogram imply {want}"
             )
     if witnesses != sorted(set(witnesses)):
         raise CacheIntegrityError("witnesses are not in strict lexicographic order")

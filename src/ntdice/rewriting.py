@@ -26,7 +26,7 @@ returns the shortest, lexicographically-least move path when one exists.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, KeysView, NamedTuple, Union
 
 from .core import DEFAULT_BUDGET, DiceError, DomainError, require_complete
 from .core import _JSON_TYPES, _require_budget
@@ -403,16 +403,18 @@ def similar(w1: str, w2: str, budget: int = DEFAULT_BUDGET) -> SimilarityResult:
 
 def similarity_class(
     seeds: Iterable[str], budget: int = DEFAULT_BUDGET
-) -> tuple[frozenset[str], bool]:
+) -> tuple[KeysView[str], bool]:
     """All words reachable from the seed set, plus an exhaustion flag.
 
     Returns (reachable, exhausted); exhausted is False when the state
     budget stopped the search before the frontier emptied, in which case
-    membership of absent words is unknown rather than refuted.
+    membership of absent words is unknown rather than refuted.  reachable
+    is a read-only, set-like view of the search's table, not a copy: it
+    equals a set of the same words but is not hashable.
     """
     _require_budget(budget)
     seeds = list(seeds)
     for w in seeds:
         require_complete(w)
     parent, exhausted = _search(seeds, budget)
-    return frozenset(parent), exhausted
+    return parent.keys(), exhausted

@@ -373,6 +373,23 @@ class TestCommandsRun:
         payload = json.loads(out)
         assert payload["unresolved_same_perm"] > 0
 
+    def test_budget_cut_census_ignores_hash_seed(self, tmp_path):
+        # A budget stops each class search part-way, so the order of its
+        # seeds decides which words it reaches; str hashes must not.
+        src = Path(ntdice.__file__).resolve().parents[1]
+        argv = [sys.executable, "-m", "ntdice.cli", "verify-fair", "--n", "4",
+                "--budget", "40", "--json"]
+        procs = [
+            subprocess.Popen(argv, cwd=tmp_path, stdout=subprocess.PIPE, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed})
+            for seed in ("0", "3")
+        ]
+        outs = {proc.communicate(timeout=60)[0] for proc in procs}
+        assert [proc.returncode for proc in procs] == [0, 0]
+        assert len(outs) == 1
+        payload = json.loads(outs.pop())
+        assert (payload["reachable_same_perm"], payload["reachable_mixed_perm"]) == (41, 42)
+
 
 class TestEnumerateOut:
     def test_out_file_round_trips(self, tmp_path):

@@ -489,7 +489,7 @@ class TestBounds:
 
     def test_negative_monotone_limit_rejected(self):
         assert bound_report(monotone_limit=0).monotone_certified_upto == 0
-        for limit in (-1, -5):
+        for limit in (-1, -5, 1.5, True, "7"):
             with pytest.raises(DomainError, match="monotone limit"):
                 bound_report(monotone_limit=limit)
 

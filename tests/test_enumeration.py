@@ -18,15 +18,19 @@ from ntdice import (
     max_probability,
     verify_fair_conjecture,
 )
+from ntdice.core import DEFAULT_BUDGET
 from ntdice.enumeration import (
     WITNESS_CAP,
     CacheFormatError,
     CacheIntegrityError,
+    FairConjectureReport,
     _balanced_histogram,
     _pruner,
     _steps,
+    _walk,
     total_word_count,
 )
+from ntdice.rewriting import similarity_class
 
 
 class TestGeneration:
@@ -371,7 +375,62 @@ class TestOracleAgreement:
         assert stats_n6.histogram[built] >= 1
 
 
+def reference_verify_fair_conjecture(n, bfs_budget=DEFAULT_BUDGET):
+    """The fair census ``verify_fair_conjecture`` ran before it counted
+    instead of collecting: every fair word in a set, intersected with each
+    class, and a parity-only record at odd n.  Its seeds are lists in
+    generation order, as the census builds them."""
+    if n % 2:
+        return FairConjectureReport(
+            n=n,
+            fair_words_found=0,
+            parity_ok=True,
+            reachable_same_perm=0,
+            reachable_mixed_perm=0,
+            not_reachable_same_perm=0,
+            not_reachable_mixed_perm=0,
+            unresolved_same_perm=0,
+            unresolved_mixed_perm=0,
+        )
+    fair_set = set()
+    _walk(n, EnumFilter(fair=True), lambda word, _counts: fair_set.add(word))
+    blocks = [x + y + z + z + y + x for x, y, z in ("ABC", "ACB", "BAC", "BCA", "CAB", "CBA")]
+    same_seeds = [block * (n // 2) for block in blocks]
+    mixed_seeds = ["".join(p) for p in itertools.product(blocks, repeat=n // 2)]
+    class_same, same_done = similarity_class(same_seeds, bfs_budget)
+    class_mixed, mixed_done = similarity_class(mixed_seeds, bfs_budget)
+    reach_same = len(fair_set & class_same)
+    reach_mixed = len(fair_set & class_mixed)
+    return FairConjectureReport(
+        n=n,
+        fair_words_found=len(fair_set),
+        parity_ok=True,
+        reachable_same_perm=reach_same,
+        reachable_mixed_perm=reach_mixed,
+        not_reachable_same_perm=(len(fair_set) - reach_same) if same_done else 0,
+        not_reachable_mixed_perm=(len(fair_set) - reach_mixed) if mixed_done else 0,
+        unresolved_same_perm=0 if same_done else len(fair_set) - reach_same,
+        unresolved_mixed_perm=0 if mixed_done else len(fair_set) - reach_mixed,
+    )
+
+
 class TestFairConjecture:
+    def test_counting_census_matches_reference(self):
+        for n in range(1, 6):
+            for budget in (1, 10, 50, DEFAULT_BUDGET):
+                want = reference_verify_fair_conjecture(n, budget)
+                assert verify_fair_conjecture(n, budget) == want, (n, budget)
+
+    def test_budget_cut_record_pinned(self):
+        report = verify_fair_conjecture(4, bfs_budget=10)
+        assert report == (4, 156, True, 14, 36, 0, 0, 142, 120)
+        assert report._fields == (
+            "n", "fair_words_found", "parity_ok",
+            "reachable_same_perm", "reachable_mixed_perm",
+            "not_reachable_same_perm", "not_reachable_mixed_perm",
+            "unresolved_same_perm", "unresolved_mixed_perm",
+        )
+
     def test_odd_n_short_circuits_by_parity(self):
         for n in (1, 3, 5, 7):
             report = verify_fair_conjecture(n)
@@ -513,6 +572,28 @@ class TestStatsCache:
         path.write_text(json.dumps(obj))
         with pytest.raises(CacheIntegrityError):
             load_stats(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("total_words", 1679, "total_words is 1679, but n and the histogram imply 1680"),
+            ("count_balanced", 1, "count_balanced is 1, but n and the histogram imply 12"),
+            ("count_balanced_nontransitive", 7,
+             "count_balanced_nontransitive is 7, but n and the histogram imply 6"),
+            ("count_fair", 1, "count_fair is 1, but n and the histogram imply 0"),
+            ("max_prob", None, "max_prob is None, but n and the histogram imply 5/9"),
+            ("max_witnesses", ["ACBBACCBA"], "witness count is 1, but n and the histogram imply 6"),
+        ],
+    )
+    def test_integrity_error_names_field(self, tmp_path, field, value, message):
+        path = tmp_path / "n3.json"
+        cache_stats(enumerate_words(3), path)
+        obj = json.loads(path.read_text())
+        obj[field] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CacheIntegrityError) as info:
+            load_stats(path)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "field, spoil",
