@@ -1,17 +1,17 @@
 """Exhaustive generation and classification of all dice words at fixed n.
 
 The scan is the package's ground truth: every closed-form count elsewhere
-can be rediscovered here.  Two pieces share one pruning test, which asks
-whether the final counts a prefix can still reach admit a word the filter
-passes:
+can be rediscovered here.  Two pieces share one pruning window, the range
+of running N(A>B) from which the final counts a prefix can still reach
+admit a word the filter passes:
 
-* the statistics come from a layered count DP.  It reads words left to
-  right and keeps, for each count of letters placed so far, the
-  multiplicity of every reachable triple of running win counts.  Words
-  that share both collapse into one state, and a state is dropped as soon
-  as the three counts can no longer meet.  The relabel A->B->C->A maps
-  states and pruning onto themselves, so a layer builds one letter tally
-  per orbit of it, and n = 7 (399,072,960 words) takes under 0.1 s;
+* every count comes from a layered count DP.  It reads words left to
+  right and keeps, for each count of letters placed and each pair of
+  running N(B>C), N(C>A), one int that packs the multiplicity of every
+  running N(A>B) into fixed-width fields, so integer shifts, sums and
+  masks do the per-count work.  The window becomes a mask that drops a
+  state as soon as the three counts can no longer meet, and n = 7
+  (399,072,960 words) takes about 0.02 s;
 * words themselves come from a depth-first walk in lexicographic order
   that cuts every prefix no completion of which passes the filter and
   remembers the states so cut.  It lists the witnesses of the maximum
@@ -136,6 +136,7 @@ def _check_sides(n: int, long_run: bool) -> None:
 
 Placed = tuple[int, int, int]  # letters A, B, C placed so far
 Counts = tuple[int, int, int]  # running N(A>B), N(B>C), N(C>A)
+Window = Callable[[Placed, int, int], tuple[int, int]]  # see _pruner
 
 
 def _steps(
@@ -154,16 +155,18 @@ def _steps(
         yield "C", (pa, pb, pc + 1), (ab, bc, ca + pa)
 
 
-def _pruner(n: int, filt: EnumFilter) -> Callable[[Placed, Counts], bool] | None:
-    """A test of whether some completion of a prefix can pass filt; None
-    when filt passes every word.
+def _pruner(n: int, filt: EnumFilter) -> Window | None:
+    """A window(placed, bc, ca) -> (lo, hi) of the running N(A>B) from which
+    some completion of a prefix can pass filt, empty when lo > hi; None when
+    filt passes every word.
 
     Each letter still to come adds between the current and the full tally
     of the letter it beats, so the final N(A>B) lies in
     [ab + ra*pb, ab + ra*n], and likewise for the other two.  Each interval
     is clipped to the range the filter allows that count and must stay
-    non-empty; for balanced words the three must also meet.  At a complete
-    word every interval is a point, so the test is the filter itself."""
+    non-empty; for balanced words the three must also meet.  Solved for ab
+    this is one interval, which a condition free of ab empties.  At a
+    complete word every interval is a point, so the test is the filter."""
     if filt == EnumFilter():
         return None
     sq = n * n
@@ -174,91 +177,87 @@ def _pruner(n: int, filt: EnumFilter) -> Callable[[Placed, Counts], bool] | None
         lo = [max(least, c) for c in filt.counts]
         hi = [min(most, c) for c in filt.counts]
     if any(l > h for l, h in zip(lo, hi)):
-        return lambda placed, counts: False  # no word can pass
+        return lambda placed, bc, ca: (1, 0)  # no word can pass
     (la, lb, lc), (ha, hb, hc) = lo, hi
     balanced = filt.balanced
     low, high = max(lo), min(hi)  # the range all three share when balanced
 
-    def alive(placed: Placed, counts: Counts) -> bool:
+    def window(placed: Placed, bc: int, ca: int) -> tuple[int, int]:
         pa, pb, pc = placed
-        ab, bc, ca = counts
         ra, rb, rc = n - pa, n - pb, n - pc
-        lo_ab, hi_ab = ab + ra * pb, ab + ra * n
         lo_bc, hi_bc = bc + rb * pc, bc + rb * n
         lo_ca, hi_ca = ca + rc * pa, ca + rc * n
-        if balanced:  # max(lows) <= min(highs), spelt out: max() and min() cost more
-            top = hi_ab if hi_ab < hi_bc else hi_bc
-            top = hi_ca if hi_ca < top else top
+        if balanced:  # the range bc and ca share, spelt out: max() and min() cost more
+            top = hi_bc if hi_bc < hi_ca else hi_ca
             top = high if high < top else top
-            return lo_ab <= top and lo_bc <= top and lo_ca <= top and low <= top
-        return (lo_ab <= ha and la <= hi_ab and lo_bc <= hb and lb <= hi_bc
-                and lo_ca <= hc and lc <= hi_ca)
+            bottom = lo_bc if lo_bc > lo_ca else lo_ca
+            bottom = low if low > bottom else bottom
+            return (bottom - ra * n, top - ra * pb) if bottom <= top else (1, 0)
+        if lo_bc <= hb and lb <= hi_bc and lo_ca <= hc and lc <= hi_ca:
+            return la - ra * n, ha - ra * pb
+        return 1, 0
 
-    return alive
-
-
-def _orbit_rep(placed: Placed) -> tuple[Placed, int]:
-    """The largest rotation rho^j(placed) of a tally, and j."""
-    pa, pb, pc = placed
-    return max(((pa, pb, pc), 0), ((pc, pa, pb), 1), ((pb, pc, pa), 2))
+    return window
 
 
 def _balanced_histogram(n: int) -> dict[int, int]:
     """Balanced words keyed by their common count, by the layered count DP.
 
-    Layer k maps letter tallies P of k-letter prefixes to dicts M[P] from
-    running counts X to the number of prefixes reaching them; a state is
-    kept only while its three reachable final counts can still meet, so
-    every state that survives to (n, n, n) is balanced.  The relabel
-    rho: A->B->C->A maps the prefixes at (P, X) one to one onto those at
-    rho P = (pc, pa, pb), rho X = (ca, ab, bc), and only permutes the
-    pruner's three intervals, which share one range, so M[rho P][rho X] =
-    M[P][X].  A layer thus holds one tally per orbit, its largest rotation,
-    pulled from the tallies one letter shorter (a last A adds pb to ab, a B
-    pc to bc, a C pa to ca), each read from its orbit's held tally with the
-    keys rotated back as they are translated.  (p, p, p) is its own orbit."""
-    alive = _pruner(n, EnumFilter(balanced=True))
-    layer: dict[Placed, dict[Counts, int]] = {(0, 0, 0): {(0, 0, 0): 1}}
+    Layer k maps each letter tally (pa, pb, pc) of k-letter prefixes to a
+    dict from running counts (bc, ca) to one packed int, whose w-bit field
+    at offset ab*w counts the prefixes reaching (ab, bc, ca); 2**w exceeds
+    the word total, so no field ever carries into the next.  A last A adds
+    pb to every ab, a shift of the packed int; a last B adds pc to bc and a
+    last C pa to ca, which only move the key.  The pruner's window on ab
+    becomes a mask, so every state that survives to (n, n, n) is balanced,
+    and field t of key (t, t) counts the words whose common count is t."""
+    window = _pruner(n, EnumFilter(balanced=True))
+    w = total_word_count(n).bit_length()
+    layer: dict[Placed, dict[tuple[int, int], int]] = {(0, 0, 0): {(0, 0): 1}}
     for k in range(1, 3 * n + 1):
-        nxt: dict[Placed, dict[Counts, int]] = {}
-        for placed in {_orbit_rep((pa, pb, k - pa - pb))[0]
-                       for pa in range(n + 1)
-                       for pb in range(max(0, k - pa - n), min(n, k - pa) + 1)}:
-            bucket: dict[Counts, int] = {}
-            for i in range(3):  # the last letter; a negative tally is never held
-                rep, j = _orbit_rep(tuple(p - (s == i) for s, p in enumerate(placed)))
-                x, y, z = j, (j + 1) % 3, (j + 2) % 3  # rep's slots, in order
-                dx, dy, dz = (placed[(i + 1) % 3] * (s == i) for s in range(3))
-                for key, mult in layer.get(rep, {}).items():
-                    counts = (key[x] + dx, key[y] + dy, key[z] + dz)
-                    if counts in bucket:
-                        bucket[counts] += mult
-                    elif alive(placed, counts):
-                        bucket[counts] = mult
-            nxt[placed] = bucket
+        nxt: dict[Placed, dict[tuple[int, int], int]] = {}
+        for pa in range(max(0, k - 2 * n), min(n, k) + 1):
+            for pb in range(max(0, k - pa - n), min(n, k - pa) + 1):
+                pc = k - pa - pb
+                placed = (pa, pb, pc)  # a negative tally is never held
+                bucket = {key: packed << pb * w
+                          for key, packed in layer.get((pa - 1, pb, pc), {}).items()}
+                for prev, db, dc in ((pa, pb - 1, pc), pc, 0), ((pa, pb, pc - 1), 0, pa):
+                    for (bc, ca), packed in layer.get(prev, {}).items():
+                        key = (bc + db, ca + dc)
+                        bucket[key] = bucket.get(key, 0) + packed
+                kept = {}
+                for (bc, ca), packed in bucket.items():
+                    lo, hi = window(placed, bc, ca)
+                    lo = lo if lo > 0 else 0
+                    if lo <= hi and (
+                            packed := packed & ((1 << (hi - lo + 1) * w) - 1) << lo * w):
+                        kept[bc, ca] = packed
+                nxt[placed] = kept
         layer = nxt
-    return {counts[0]: mult for counts, mult in layer.get((n, n, n), {}).items()}
+    return {t: packed >> t * w for (t, _), packed in layer[(n, n, n)].items()}
 
 
 def _walk(n: int, filt: EnumFilter, emit: Callable[[str, Counts], bool | None]) -> None:
     """Hand every complete word passing filt, with its counts, to emit in
     lexicographic order, until emit returns True.
 
-    A depth-first walk in A, B, C order that cuts a prefix as soon as the
-    pruner says no completion can pass, and remembers the states so cut,
+    A depth-first walk in A, B, C order that cuts a prefix as soon as its
+    N(A>B) leaves the pruner's window, and remembers the states so cut,
     so a state met again under another prefix is cut at once.  A filter
     that passes every word cuts nothing."""
-    alive = _pruner(n, filt)
+    window = _pruner(n, filt)
     path: list[str] = []
     dead: set[tuple[Placed, Counts]] = set()
     stopped = False
 
     def visit(placed: Placed, counts: Counts) -> bool:
         nonlocal stopped
-        if alive is not None and (
-            not alive(placed, counts) or (placed, counts) in dead
-        ):
-            return False
+        if window is not None:
+            ab, bc, ca = counts
+            lo, hi = window(placed, bc, ca)
+            if not lo <= ab <= hi or (placed, counts) in dead:
+                return False
         if len(path) == 3 * n:
             stopped = bool(emit("".join(path), counts))
             return True
@@ -388,9 +387,10 @@ def verify_fair_conjecture(
 ) -> FairConjectureReport:
     """Census of fair words at n and their similarity to block products.
 
-    Fair words are counted, not stored: the moves keep counts, so a class
-    seeded by block products holds only fair words.  Odd n carry none (the
-    fair count n^2/2 would not be an integer), so nothing seeds a class.
+    Fair words are counted by the count DP, not walked or stored: the
+    moves keep counts, so a class seeded by block products holds only fair
+    words.  Odd n carry none (the fair count n^2/2 would not be an
+    integer), so nothing seeds a class.
     Even n must satisfy n <= 4, where the reachable set of the canonical
     products stays exhaustively searchable.
     """
@@ -403,13 +403,7 @@ def verify_fair_conjecture(
             f"similarity verification is exhaustive only up to n=4, got {n}"
         )
 
-    fair_words = 0
-
-    def count(_word: str, _counts: Counts) -> None:
-        nonlocal fair_words
-        fair_words += 1
-
-    _walk(n, EnumFilter(fair=True), count)
+    fair_words = _derive_stats(n, _balanced_histogram(n), ()).count_fair
 
     # The seeds are lists in generation order, so a budget cuts each search
     # at the same word in every process.
@@ -557,6 +551,9 @@ def _check_consistent(stats: EnumStats) -> None:
     for prob, cnt in hist.items():
         if (prob * n * n).denominator != 1 or not 0 <= prob <= 1 or cnt < 1:
             raise CacheIntegrityError(f"histogram entry {prob}: {cnt} impossible at n={n}")
+        if hist.get(1 - prob) != cnt:  # reversing a word maps a count x to n^2 - x
+            raise CacheIntegrityError(
+                f"histogram entry {prob}: {cnt} is not mirrored at {1 - prob}")
     implied = _derive_stats(
         n, {int(prob * n * n): cnt for prob, cnt in hist.items()}, stats.max_witnesses
     )

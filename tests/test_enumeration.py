@@ -166,23 +166,29 @@ def _classified_words(n):
     return tuple((w, classify(w)) for w in words)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize(
-    "balanced, nontransitive, fair",
-    list(itertools.product((False, True), repeat=3)),
-)
-def test_pruned_stream_is_exact(n, balanced, nontransitive, fair):
+def _filters(n, balanced, nontransitive, fair):
+    """The flags with no count target and with four: one balanced, one
+    unbalanced and two that no word reaches."""
     classified = _classified_words(n)
     bal = [v.counts.as_tuple() for _, v in classified if v.balanced]
     sq = n * n
-    for counts in (
+    return [EnumFilter(balanced, nontransitive, fair, counts) for counts in (
         None,
         bal[-1] if bal else (sq // 2,) * 3,  # balanced
         classified[len(classified) // 2][1].counts.as_tuple(),  # unbalanced
         (sq + 1,) * 3,  # unreachable
         (-1, sq // 2, sq // 2),  # unreachable
-    ):
-        filt = EnumFilter(balanced, nontransitive, fair, counts)
+    )]
+
+
+FLAGS = list(itertools.product((False, True), repeat=3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("balanced, nontransitive, fair", FLAGS)
+def test_pruned_stream_is_exact(n, balanced, nontransitive, fair):
+    classified = _classified_words(n)
+    for filt in _filters(n, balanced, nontransitive, fair):
         got = []
         enumerate_words(n, filt=filt, consumer=lambda w, v: got.append((w, v)))
         assert got == [(w, v) for w, v in classified if filt.matches(v)]
@@ -214,6 +220,73 @@ def reference_balanced_histogram(n):
     return {counts[0]: mult for counts, mult in layer.get((n, n, n), {}).items()}
 
 
+def reference_pruner(n, filt):
+    """The pruner as a yes-or-no test on a whole state, as it was before it
+    became a window on N(A>B): whether some completion of a prefix can pass
+    filt; None when filt passes every word."""
+    if filt == EnumFilter():
+        return None
+    sq = n * n
+    least = sq // 2 + 1 if filt.nontransitive else (sq + 1) // 2 if filt.fair else 0
+    most = sq // 2 if filt.fair else sq  # fair: an empty range when n^2 is odd
+    lo, hi = [least] * 3, [most] * 3
+    if filt.counts is not None:
+        lo = [max(least, c) for c in filt.counts]
+        hi = [min(most, c) for c in filt.counts]
+    if any(l > h for l, h in zip(lo, hi)):
+        return lambda placed, counts: False  # no word can pass
+    (la, lb, lc), (ha, hb, hc) = lo, hi
+    balanced = filt.balanced
+    low, high = max(lo), min(hi)  # the range all three share when balanced
+
+    def alive(placed, counts):
+        pa, pb, pc = placed
+        ab, bc, ca = counts
+        ra, rb, rc = n - pa, n - pb, n - pc
+        lo_ab, hi_ab = ab + ra * pb, ab + ra * n
+        lo_bc, hi_bc = bc + rb * pc, bc + rb * n
+        lo_ca, hi_ca = ca + rc * pa, ca + rc * n
+        if balanced:
+            top = min(hi_ab, hi_bc, hi_ca, high)
+            return lo_ab <= top and lo_bc <= top and lo_ca <= top and low <= top
+        return (lo_ab <= ha and la <= hi_ab and lo_bc <= hb and lb <= hi_bc
+                and lo_ca <= hc and lc <= hi_ca)
+
+    return alive
+
+
+@lru_cache(maxsize=None)
+def _reachable_states(n):
+    """Every (placed, counts) that some prefix on n sides reaches, the empty
+    prefix included."""
+    layer = {((0, 0, 0), (0, 0, 0))}
+    states = set(layer)
+    for _ in range(3 * n):
+        layer = {(p2, c2) for p, c in layer for _, p2, c2 in _steps(n, p, c)}
+        states |= layer
+    return frozenset(states)
+
+
+def _passes(window, placed, counts):
+    """Whether counts' N(A>B) lies in the window of placed and the other two."""
+    ab, bc, ca = counts
+    lo, hi = window(placed, bc, ca)
+    return lo <= ab <= hi
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("balanced, nontransitive, fair", FLAGS)
+def test_window_matches_reference_pruner(n, balanced, nontransitive, fair):
+    for filt in _filters(n, balanced, nontransitive, fair):
+        window, alive = _pruner(n, filt), reference_pruner(n, filt)
+        assert (window is None) == (alive is None) == (filt == EnumFilter())
+        if window is None:
+            continue
+        for placed, counts in _reachable_states(n):
+            assert _passes(window, placed, counts) == alive(placed, counts), (
+                filt, placed, counts)
+
+
 def _rho(triple):
     """The relabel A->B->C->A on a tally (pa, pb, pc) or on counts (ab, bc, ca)."""
     x, y, z = triple
@@ -221,7 +294,10 @@ def _rho(triple):
 
 
 class TestOrbitDP:
-    @pytest.mark.parametrize("n", range(1, 9))
+    """The packed count DP against the plain one, and the relabel symmetry
+    of the balanced window that the relabel cut of a bar walk would use."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
     def test_matches_reference(self, n):
         assert _balanced_histogram(n) == reference_balanced_histogram(n)
 
@@ -230,16 +306,20 @@ class TestOrbitDP:
         "filt", [EnumFilter(balanced=True), EnumFilter(balanced=True, nontransitive=True)]
     )
     def test_balanced_pruner_commutes_with_relabel(self, n, filt):
-        alive = _pruner(n, filt)
-        layer = {((0, 0, 0), (0, 0, 0))}
+        window = _pruner(n, filt)
         verdicts = set()
-        for _ in range(3 * n):
-            layer = {(p2, c2) for p, c in layer for _, p2, c2 in _steps(n, p, c)}
-            for placed, counts in layer:
-                verdict = alive(placed, counts)
-                assert alive(_rho(placed), _rho(counts)) == verdict, (placed, counts)
-                verdicts.add(verdict)
+        for placed, counts in _reachable_states(n):
+            verdict = _passes(window, placed, counts)
+            assert _passes(window, _rho(placed), _rho(counts)) == verdict, (placed, counts)
+            verdicts.add(verdict)
         assert verdicts == {True, False} or n < 3
+
+    def test_pinned_at_n12(self):
+        hist = _balanced_histogram(12)
+        assert sum(hist.values()) == 673_115_123_364
+        assert sum(c for t, c in hist.items() if t > 72) == 244_189_181_673
+        assert hist[72] == 184_736_760_018
+        assert max(hist) == 88
 
 
 class TestKnownCensusValues:
@@ -300,12 +380,16 @@ class TestKnownCensusValues:
         assert stats.count_balanced_nontransitive == 189_783
         assert stats.histogram[prob] == 24
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_histogram_reversal_symmetry(self, n):
-        # reversing a word turns every win count v into n^2 - v
-        hist = enumerate_words(n, long_run=n == 7).histogram
-        assert {1 - p: c for p, c in hist.items()} == hist
-        assert (n < 2) == (not hist)
+        # reversing a word turns every win count v into n^2 - v; the scan
+        # stops at n = 7, the count DP under it runs on
+        counts = _balanced_histogram(n)
+        assert {n * n - v: c for v, c in counts.items()} == counts
+        assert (n < 2) == (not counts)
+        if n <= 7:
+            hist = enumerate_words(n, long_run=n == 7).histogram
+            assert {1 - p: c for p, c in hist.items()} == hist
 
 
 class TestFilters:
@@ -449,14 +533,14 @@ class TestFairConjecture:
         assert report.unresolved_same_perm == 0
         assert report.unresolved_mixed_perm == 0
 
-    def test_fair_census_builds_no_statistics(self, monkeypatch):
+    def test_fair_census_walks_no_word(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("the fair census built the statistics")
+            raise AssertionError("the fair census walked words")
 
-        reports = [verify_fair_conjecture(n) for n in (2, 4)]
-        monkeypatch.setattr("ntdice.enumeration._balanced_histogram", refuse)
+        reports = [verify_fair_conjecture(n) for n in (2, 3, 4)]
+        monkeypatch.setattr("ntdice.enumeration._walk", refuse)
         monkeypatch.setattr("ntdice.enumeration._witnesses", refuse)
-        assert [verify_fair_conjecture(n) for n in (2, 4)] == reports
+        assert [verify_fair_conjecture(n) for n in (2, 3, 4)] == reports
 
     def test_even_n_above_four_rejected(self):
         with pytest.raises(DomainError):
@@ -497,8 +581,8 @@ def _unreduced(text):
 
 class TestStatsCache:
     def test_round_trip(self, tmp_path):
-        for n in range(1, 6):
-            stats = enumerate_words(n)
+        for n in range(1, 8):
+            stats = enumerate_words(n, long_run=n == 7)
             path = tmp_path / f"n{n}.json"
             cache_stats(stats, path)
             assert load_stats(path) == stats
@@ -637,6 +721,27 @@ class TestStatsCache:
         obj[field] = spoil(obj[field])
         path.write_text(json.dumps(obj))
         with pytest.raises(CacheFormatError):
+            load_stats(path)
+
+    @pytest.mark.parametrize(
+        "prob, fields",
+        [
+            ("11/25", ("count_balanced",)),
+            ("14/25", ("count_balanced", "count_balanced_nontransitive")),
+        ],
+    )
+    def test_asymmetric_histogram_rejected(self, tmp_path, prob, fields):
+        # one more word at prob, and every count it feeds raised to match
+        path = tmp_path / "n5.json"
+        cache_stats(enumerate_words(5), path)
+        obj = json.loads(path.read_text())
+        obj["histogram"][prob] += 1
+        for field in fields:
+            obj[field] += 1
+        path.write_text(json.dumps(obj))
+        # the loader reads entries in order, so 11/25 meets its mirror first
+        message = r"histogram entry 11/25: \d+ is not mirrored at 14/25"
+        with pytest.raises(CacheIntegrityError, match=message):
             load_stats(path)
 
     def test_witness_order_and_cap_checked(self, tmp_path):
