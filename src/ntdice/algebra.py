@@ -76,6 +76,8 @@ def combined_probability(m: int, m_ab: int, n: int, n_ab: int) -> Fraction:
         raise DomainError(f"count {m_ab} outside 0..{m * m}")
     if not 0 <= n_ab <= n * n:
         raise DomainError(f"count {n_ab} outside 0..{n * n}")
+    if m + n < 1:
+        raise DomainError("empty word has no win probabilities")
     half = Fraction(1, 2)
     excess = (m_ab - half * m * m) + (n_ab - half * n * n)
     return half + Fraction(excess, (m + n) ** 2)

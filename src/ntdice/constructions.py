@@ -29,7 +29,6 @@ from .rewriting import (
     TripleShift,
     _reverse,
     _shift_sites,
-    apply_move,
 )
 
 # Base vocabulary.  FAIR_BLOCK is the unique (up to relabeling) fair
@@ -80,18 +79,17 @@ REFERENCE_DICE_TABLES = (
 def construct_irreducible(n: int) -> str:
     """An irreducible balanced non-transitive word on n sides, n >= 3.
 
-    Odd n = 3 + 2k uses FAIR_BLOCK^k + SEED3; even n = 4 + 2k uses
-    FAIR_BLOCK^k + SEED4.  All three win counts equal (n^2 + 2) // 2.
+    FAIR_BLOCK^k followed by SEED3 for odd n = 3 + 2k, or by SEED4 for
+    even n = 4 + 2k; k = (n - 3) // 2 in both cases.  All three win counts
+    equal (n^2 + 2) // 2.
     """
+    if type(n) is not int:
+        raise DomainError(f"n must be an int, got {n!r}")
     if n < 3:
         raise DomainError(
             f"no balanced non-transitive set exists on {n} sides (need n >= 3)"
         )
-    if n % 2:
-        k = (n - 3) // 2
-        return FAIR_BLOCK * k + SEED3
-    k = (n - 4) // 2
-    return FAIR_BLOCK * k + SEED4
+    return FAIR_BLOCK * ((n - 3) // 2) + (SEED3 if n % 2 else SEED4)
 
 
 def construct_near_half(m: int) -> str:
@@ -100,6 +98,8 @@ def construct_near_half(m: int) -> str:
     n = 2m + 1 sides; all win counts equal 2m^2 + 2m + 1, so the excess
     over 1/2 shrinks quadratically with m.
     """
+    if type(m) is not int:
+        raise DomainError(f"m must be an int, got {m!r}")
     if m < 1:
         raise DomainError(f"parameter m must be at least 1, got {m}")
     return "ACBCBA" + "ABCCBA" * (m - 1) + "BAC"
@@ -118,6 +118,8 @@ STAGES = (STAGE_UNMIXED_FAIR, STAGE_MIXED_FAIR, STAGE_SHIFTED)
 
 def _block_params(n: int) -> tuple[int, int, int]:
     """Return (p, h, c): block width p = n//6, half h = n//2, c = h - 3p."""
+    if type(n) is not int:
+        raise DomainError(f"n must be an int, got {n!r}")
     if n < 6 or n % 2:
         raise DomainError(f"staged words exist for even n >= 6 only, got n={n}")
     p, h = n // 6, n // 2
@@ -127,7 +129,7 @@ def _block_params(n: int) -> tuple[int, int, int]:
 def stage_word(n: int, stage: str) -> str:
     """Build the staged block word for even n >= 6.
 
-    With p = n//6, h = n//2 and c = h - 3p (0, 1 or 2 by residue):
+    Each stage is a table of runs; with p = n//6, h = n//2 and c = h - 3p:
 
     * unmixed-fair:  A^h B^h C^h C^h B^h A^h, fair for every even n.
     * mixed-fair:    A^h B^(h-p) C^h B^p C^(h-p) B^h C^p A^h, still fair
@@ -139,32 +141,14 @@ def stage_word(n: int, stage: str) -> str:
     p(3p+1)/(6p+2)^2 resp. p(3p+2)/(6p+4)^2 for the other residues.
     """
     p, h, c = _block_params(n)
-    if stage == STAGE_UNMIXED_FAIR:
-        return "A" * h + "B" * h + "C" * (2 * h) + "B" * h + "A" * h
-    if stage == STAGE_MIXED_FAIR:
-        return (
-            "A" * h
-            + "B" * (h - p)
-            + "C" * h
-            + "B" * p
-            + "C" * (h - p)
-            + "B" * h
-            + "C" * p
-            + "A" * h
-        )
-    if stage == STAGE_SHIFTED:
-        return (
-            "B" * p
-            + "A" * h
-            + "B" * c
-            + "C" * h
-            + "B" * (2 * p)
-            + "C" * (h - p)
-            + "B" * h
-            + "A" * h
-            + "C" * p
-        )
-    raise DomainError(f"unknown stage {stage!r}; expected one of {STAGES}")
+    if stage not in STAGES:  # a tuple scan, so an unhashable stage fails here too
+        raise DomainError(f"unknown stage {stage!r}; expected one of {STAGES}")
+    runs = {
+        STAGE_UNMIXED_FAIR: zip("ABCBA", (h, h, 2 * h, h, h)),
+        STAGE_MIXED_FAIR: zip("ABCBCBCA", (h, h - p, h, p, h - p, h, p, h)),
+        STAGE_SHIFTED: zip("BABCBCBAC", (p, h, c, h, 2 * p, h - p, h, h, p)),
+    }[stage]
+    return "".join(letter * k for letter, k in runs)
 
 
 def max_shift_rounds(n: int) -> int:
@@ -281,8 +265,9 @@ def optimize_max_prob(n: int) -> OptimizerReport:
     while applied < needed:
         move = next(_shift_sites(word), None)
         if move is not None:
-            # a shift permutes letters, so the word stays complete
-            word = apply_move(word, move, require_completeness=False)
+            # _shift_sites yields only disjoint AB/BC/CA windows it found,
+            # so reversing them is the shift; replay re-checks every move
+            word = _reverse(word, *move)
             moves.append(move)
             applied += 1
             continue
@@ -324,14 +309,9 @@ class SurdValue(NamedTuple):
         """A rational interval containing the value, width <= |b|/(c*10^digits)."""
         scale = 10**digits
         s = math.isqrt(self.d * scale * scale)
-        lo_root = Fraction(s, scale)
-        hi_root = Fraction(s + 1, scale)
-        if self.b >= 0:
-            lo = Fraction(self.a + self.b * lo_root, self.c)
-            hi = Fraction(self.a + self.b * hi_root, self.c)
-        else:
-            lo = Fraction(self.a + self.b * hi_root, self.c)
-            hi = Fraction(self.a + self.b * lo_root, self.c)
+        # a + b*r is monotone in r, so its ends sit at the root's bounds
+        ends = (Fraction(self.a + self.b * Fraction(r, scale), self.c) for r in (s, s + 1))
+        lo, hi = sorted(ends)
         return lo, hi
 
     def less_than(self, bound: Fraction) -> bool:

@@ -144,6 +144,10 @@ class TestCombinedProbability:
         with pytest.raises(DomainError, match="count 5 outside 0..4"):
             combined_probability(2, 2, 2, 5)
 
+    def test_two_empty_words_rejected(self):
+        with pytest.raises(DomainError, match="^empty word has no win probabilities$"):
+            combined_probability(0, 0, 0, 0)
+
 
 class TestIrreducibility:
     def test_seed3_irreducible(self):

@@ -240,6 +240,12 @@ class TestExitCodes:
         assert code == 1
         assert "incomplete word: counts 2,1,1" in err
 
+    def test_empty_concat_is_a_domain_error(self):
+        code, out, err = run_cli(["concat", "", "", "--json"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: empty word has no win probabilities\n"
+
     def test_usage_error_is_two(self):
         code, out, err = run_cli(["analyze", "ACBBACCBA", "--bogus"])
         assert code == 2

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from ntdice.constructions import (
     STAGE_MIXED_FAIR,
     STAGE_SHIFTED,
     STAGE_UNMIXED_FAIR,
+    STAGES,
     SurdValue,
     base_words,
     bound_report,
@@ -67,6 +69,67 @@ class TestBaseWords:
         assert words.dense4 == DENSE4
 
 
+def reference_construct_irreducible(n):
+    """The family as two parity branches, each with its own seed."""
+    if n % 2:
+        return FAIR_BLOCK * ((n - 3) // 2) + SEED3
+    return FAIR_BLOCK * ((n - 4) // 2) + SEED4
+
+
+def reference_stage_word(n, stage):
+    """The three stage words spelled out as concatenations, one per stage."""
+    p, h = n // 6, n // 2
+    c = h - 3 * p
+    if stage == STAGE_UNMIXED_FAIR:
+        return "A" * h + "B" * h + "C" * (2 * h) + "B" * h + "A" * h
+    if stage == STAGE_MIXED_FAIR:
+        return (
+            "A" * h
+            + "B" * (h - p)
+            + "C" * h
+            + "B" * p
+            + "C" * (h - p)
+            + "B" * h
+            + "C" * p
+            + "A" * h
+        )
+    assert stage == STAGE_SHIFTED
+    return (
+        "B" * p
+        + "A" * h
+        + "B" * c
+        + "C" * h
+        + "B" * (2 * p)
+        + "C" * (h - p)
+        + "B" * h
+        + "A" * h
+        + "C" * p
+    )
+
+
+@pytest.mark.parametrize("n", [True, False, 6.0, "6", None])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (construct_irreducible, "n"),
+        (construct_near_half, "m"),
+        (lambda n: stage_word(n, STAGE_SHIFTED), "n"),
+        (optimize_max_prob, "n"),
+        (max_shift_rounds, "n"),
+    ],
+    ids=[
+        "construct_irreducible",
+        "construct_near_half",
+        "stage_word",
+        "optimize_max_prob",
+        "max_shift_rounds",
+    ],
+)
+def test_sizes_must_be_an_int(call, name, n):
+    with pytest.raises(DomainError, match=re.escape(f"{name} must be an int, got {n!r}")):
+        call(n)
+
+
 class TestConstructIrreducible:
     def test_known_small_cases(self):
         assert construct_irreducible(3) == "ACBBACCBA"
@@ -84,6 +147,10 @@ class TestConstructIrreducible:
         for n in (0, 1, 2):
             with pytest.raises(DomainError):
                 construct_irreducible(n)
+
+    def test_matches_two_branch_reference(self):
+        for n in range(3, 401):
+            assert construct_irreducible(n) == reference_construct_irreducible(n), n
 
 
 class TestConstructNearHalf:
@@ -137,6 +204,20 @@ class TestStageWords:
                 stage_word(n, STAGE_UNMIXED_FAIR)
         with pytest.raises(DomainError):
             stage_word(6, "nonsense")
+
+    def test_matches_reference(self):
+        for n in range(6, 601, 2):
+            for stage in STAGES:
+                assert stage_word(n, stage) == reference_stage_word(n, stage), (n, stage)
+
+    @pytest.mark.parametrize("stage", ["nonsense", ["shifted"], None])
+    def test_unknown_stage_message(self, stage):
+        want = f"unknown stage {stage!r}; expected one of {STAGES}"
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+            stage_word(6, stage)
+        # the size is checked before the stage
+        with pytest.raises(DomainError, match="even n >= 6 only"):
+            stage_word(7, stage)
 
 
 class TestMaxShiftRounds:
@@ -467,6 +548,21 @@ class TestManufacture:
             assert got == want, (letters, fn.__name__)
 
 
+def reference_enclosure(surd, digits=15):
+    """The enclosure with one branch per sign of b."""
+    scale = 10**digits
+    s = math.isqrt(surd.d * scale * scale)
+    lo_root = Fraction(s, scale)
+    hi_root = Fraction(s + 1, scale)
+    if surd.b >= 0:
+        lo = Fraction(surd.a + surd.b * lo_root, surd.c)
+        hi = Fraction(surd.a + surd.b * hi_root, surd.c)
+    else:
+        lo = Fraction(surd.a + surd.b * hi_root, surd.c)
+        hi = Fraction(surd.a + surd.b * lo_root, surd.c)
+    return lo, hi
+
+
 def _root_growth_by_loop(limit):
     """The per-p check the closed-form certificate replaces: growth at p
     holds iff (306p + 92)^2 < 676*(153p^2 + 108p + 20) and
@@ -499,6 +595,16 @@ class TestBounds:
         lo, hi = LIMIT_EXCESS_VARIANT_154.enclosure()
         assert Fraction("0.1079") < lo <= hi < Fraction("0.1080")
         assert hi - lo <= Fraction(1, 10**12)
+
+    @pytest.mark.parametrize("b", [-7, -1, 0, 1, 3])
+    def test_enclosure_matches_branch_reference(self, b):
+        for a in (-15, 0, 13):
+            for c in (1, 24):
+                for d in (2, 4, 153, 154):
+                    surd = SurdValue(a=a, b=b, c=c, d=d)
+                    for digits in (0, 1, 15, 30):
+                        want = reference_enclosure(surd, digits)
+                        assert surd.enclosure(digits) == want, (surd, digits)
 
     def test_verdicts_stable_under_refinement(self):
         for surd in (LIMIT_EXCESS, LIMIT_EXCESS_VARIANT_154, LIMIT_EXCESS_SHORTENED):

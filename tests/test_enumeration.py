@@ -542,6 +542,14 @@ class TestFairConjecture:
         monkeypatch.setattr("ntdice.enumeration._witnesses", refuse)
         assert [verify_fair_conjecture(n) for n in (2, 3, 4)] == reports
 
+    def test_odd_n_build_no_count_dp(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the fair census ran the count DP at odd n")
+
+        reports = [verify_fair_conjecture(n) for n in (1, 3, 5, 7)]
+        monkeypatch.setattr("ntdice.enumeration._balanced_histogram", refuse)
+        assert [verify_fair_conjecture(n) for n in (1, 3, 5, 7)] == reports
+
     def test_even_n_above_four_rejected(self):
         with pytest.raises(DomainError):
             verify_fair_conjecture(6)
